@@ -197,9 +197,8 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
           const long threshold = QgramCountThreshold(
               query.size(), s.size(), options_.q, best_k);
           if (threshold <= 0) break;
-          const long count = static_cast<long>(
-              qgram_means_.CountMatches2D(query_means, epsilon_, id));
-          if (count < threshold) {
+          if (!qgram_means_.CountMatches2DAtLeast(query_means, epsilon_, id,
+                                                  threshold)) {
             st.Bump(&StageCounters::qgram_pruned);
             return false;
           }
@@ -319,9 +318,10 @@ KnnResult CombinedKnnSearcher::Range(const Trajectory& query, int radius,
           const long threshold = QgramCountThreshold(
               query.size(), s.size(), options_.q, radius);
           if (threshold <= 0) break;
-          const long count = static_cast<long>(
-              qgram_means_.CountMatches2D(query_means, epsilon_, id));
-          if (count < threshold) pruned = true;
+          if (!qgram_means_.CountMatches2DAtLeast(query_means, epsilon_, id,
+                                                  threshold)) {
+            pruned = true;
+          }
           break;
         }
         case PruneStep::kNearTriangle: {

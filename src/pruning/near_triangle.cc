@@ -110,8 +110,8 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
   // prunes a little less than with the exact reference distance). Each
   // worker slot accumulates its own array — a reference distance is a
   // valid prune input regardless of which candidates it is applied to, so
-  // per-slot arrays keep pruning sound while the deterministic merge keeps
-  // results schedule-independent.
+  // per-slot arrays keep pruning sound while the (distance, rank) top-k
+  // selection keeps results schedule-independent.
   const unsigned slots = ResolveIntraQueryWorkers(options);
   std::vector<std::vector<std::pair<uint32_t, double>>> proc(slots);
   for (auto& p : proc) p.reserve(matrix_.num_refs());

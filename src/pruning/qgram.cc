@@ -322,6 +322,35 @@ size_t QgramMeansTable::CountMatches2D(const std::vector<Point2>& query_means,
   return count;
 }
 
+bool QgramMeansTable::CountMatches2DAtLeast(
+    const std::vector<Point2>& query_means, double epsilon, uint32_t id,
+    long threshold) const {
+  if (threshold <= 0) return true;
+  const size_t end = offsets_[id + 1];
+  const WindowHasMatchFn window_has_match =
+      WindowHasMatchFor(ActiveKernelLevel());
+  // `reachable` = count + query means not yet visited: the most the full
+  // count could still become.
+  const size_t need = static_cast<size_t>(threshold);
+  size_t count = 0;
+  size_t reachable = query_means.size();
+  if (reachable < need) return false;
+  size_t window_start = offsets_[id];
+  for (const Point2& qm : query_means) {
+    window_start =
+        GallopLowerBound(xs_.data(), window_start, end, qm.x - epsilon);
+    // The window only advances: past the last data mean nothing matches.
+    if (window_start == end) return false;
+    if (window_has_match(xs_.data(), ys_.data(), window_start, end,
+                         qm.x + epsilon, qm.y, epsilon)) {
+      if (++count >= need) return true;
+    } else if (--reachable < need) {
+      return false;
+    }
+  }
+  return false;
+}
+
 size_t QgramMeansTable::CountMatches1D(const std::vector<double>& query_means,
                                        double epsilon, uint32_t id) const {
   const size_t end = offsets_[id + 1];

@@ -86,6 +86,16 @@ class QgramMeansTable {
   size_t CountMatches2D(const std::vector<Point2>& query_means,
                         double epsilon, uint32_t id) const;
 
+  /// CountMatches2D(query_means, epsilon, id) >= threshold, decided by the
+  /// same gallop / window merge but returning as soon as the answer is
+  /// fixed: once `threshold` means have matched, or once the matches so
+  /// far plus every query mean still unvisited cannot reach it. Each
+  /// query mean adds at most one to the count, so neither exit can
+  /// change the verdict. The Q-gram prune test of the combined searcher.
+  bool CountMatches2DAtLeast(const std::vector<Point2>& query_means,
+                             double epsilon, uint32_t id,
+                             long threshold) const;
+
   /// CountMatchingMeans1D analogue; `query_means` sorted ascending.
   size_t CountMatches1D(const std::vector<double>& query_means,
                         double epsilon, uint32_t id) const;

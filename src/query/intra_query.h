@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -15,37 +14,6 @@
 #include "query/topk.h"
 
 namespace edr {
-
-/// The running k-th-nearest distance shared by every refinement worker of
-/// one query. Workers publish their local k-th distance after each accepted
-/// candidate; the stored value is the minimum published so far, which is
-/// always an upper bound on the final k-th distance — so pruning and
-/// early-abandoning against it never loses a true neighbor, it only prunes
-/// somewhat less aggressively than the fully sequential scan.
-///
-/// Relaxed ordering is sufficient: the value is a monotone pruning hint,
-/// and a stale read merely weakens a prune. Result identity is enforced by
-/// the deterministic merge, not by synchronization here.
-class SharedKthDistance {
- public:
-  explicit SharedKthDistance(size_t k)
-      : kth_(k == 0 ? -std::numeric_limits<double>::infinity()
-                    : std::numeric_limits<double>::infinity()) {}
-
-  double Load() const { return kth_.load(std::memory_order_relaxed); }
-
-  /// Lowers the shared threshold to `kth` if it improves on it.
-  void Publish(double kth) {
-    double current = kth_.load(std::memory_order_relaxed);
-    while (kth < current &&
-           !kth_.compare_exchange_weak(current, kth,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<double> kth_;
-};
 
 /// Resolves the pool an intra-query job runs on (Global unless overridden).
 inline ThreadPool& IntraQueryPool(const KnnOptions& options) {
@@ -140,13 +108,12 @@ class KeyOrderStream {
 };
 
 /// Runs `loop(slot)` on `slots` participants of the pool (or inline when
-/// one slot suffices), then merges the per-slot top-k structures. Each
-/// slot's run is recorded as a "refine_worker" span under `tc` so the
-/// per-query trace shows the worker shard breakdown.
+/// one slot suffices). Each slot's run is recorded as a "refine_worker"
+/// span under `tc` so the per-query trace shows the worker shard
+/// breakdown.
 template <typename LoopFn>
-std::vector<Neighbor> RunSlots(size_t k, unsigned slots, ThreadPool& pool,
-                               std::vector<BoundedTopK>* locals,
-                               LoopFn&& loop, const TraceContext& tc = {}) {
+void RunSlots(unsigned slots, ThreadPool& pool, LoopFn&& loop,
+              const TraceContext& tc = {}) {
   auto traced = [&](size_t slot) {
     TraceSpan span(tc.trace, "refine_worker", tc.parent);
     loop(slot);
@@ -156,7 +123,6 @@ std::vector<Neighbor> RunSlots(size_t k, unsigned slots, ThreadPool& pool,
   } else {
     pool.ParallelFor(slots, traced, slots);
   }
-  return BoundedTopK::Merge(std::move(*locals), k);
 }
 
 }  // namespace internal
@@ -170,11 +136,17 @@ std::vector<Neighbor> RunSlots(size_t k, unsigned slots, ThreadPool& pool,
 /// iff `dist` holds the candidate's *exact* distance (i.e. the computation
 /// was not abandoned); only exact distances enter the result.
 ///
-/// Result identity across worker counts: the shared threshold is always an
-/// upper bound on the final k-th distance, so every true neighbor survives
-/// filtering in every schedule, is refined exactly, and is kept by its
-/// worker's BoundedTopK; the final merge selects the k lexicographically
-/// smallest (distance, rank) pairs, a schedule-independent set.
+/// Every worker offers into one SharedTopK, so the threshold each
+/// candidate is tested against is the exact k-th distance of everything
+/// refined so far, whichever worker refined it — the same threshold the
+/// sequential scan would hold after the same offers.
+///
+/// Result identity across worker counts: that threshold is the k-th
+/// distance of a subset of the candidates, hence never below the final
+/// k-th distance, so every true neighbor survives filtering in every
+/// schedule, is refined exactly, and is offered; the shared top-k keeps
+/// the k lexicographically smallest (distance, rank) pairs offered, a
+/// schedule-independent set.
 template <typename ProcessFn>
 std::vector<Neighbor> RefineInDbOrder(size_t n, size_t k,
                                       const KnnOptions& options,
@@ -183,24 +155,22 @@ std::vector<Neighbor> RefineInDbOrder(size_t n, size_t k,
   const unsigned slots = ResolveIntraQueryWorkers(options);
   ThreadPool& pool = IntraQueryPool(options);
   internal::DbOrderStream stream(n);
-  SharedKthDistance shared(k);
-  std::vector<BoundedTopK> locals(slots, BoundedTopK(k));
+  SharedTopK topk(k);
 
   auto loop = [&](size_t slot) {
-    BoundedTopK& local = locals[slot];
     uint32_t id = 0;
     size_t rank = 0;
     while (stream.Next(&id, &rank)) {
-      const double threshold = shared.Load();
+      const double threshold = topk.Threshold();
       double dist = 0.0;
       if (!process(static_cast<unsigned>(slot), id, threshold, &dist)) {
         continue;
       }
-      local.Offer(id, dist, rank);
-      if (local.full()) shared.Publish(local.Threshold());
+      topk.Offer(id, dist, rank);
     }
   };
-  return internal::RunSlots(k, slots, pool, &locals, loop, tc);
+  internal::RunSlots(slots, pool, loop, tc);
+  return std::move(topk).TakeSortedNeighbors();
 }
 
 /// Parallel filter-and-refine over candidates in ascending canonical
@@ -221,15 +191,13 @@ std::vector<Neighbor> RefineInKeyOrder(
   ThreadPool& pool = IntraQueryPool(options);
   internal::KeyOrderStream<Key> stream(
       StreamingOrder<Key>(std::move(entries)));
-  SharedKthDistance shared(k);
-  std::vector<BoundedTopK> locals(slots, BoundedTopK(k));
+  SharedTopK topk(k);
 
   auto loop = [&](size_t slot) {
-    BoundedTopK& local = locals[slot];
     typename StreamingOrder<Key>::Entry entry;
     size_t rank = 0;
     while (stream.Next(&entry, &rank)) {
-      const double threshold = shared.Load();
+      const double threshold = topk.Threshold();
       if (stop(entry.key, threshold)) {
         stream.Stop();
         break;
@@ -239,11 +207,11 @@ std::vector<Neighbor> RefineInKeyOrder(
                    &dist)) {
         continue;
       }
-      local.Offer(entry.id, dist, rank);
-      if (local.full()) shared.Publish(local.Threshold());
+      topk.Offer(entry.id, dist, rank);
     }
   };
-  return internal::RunSlots(k, slots, pool, &locals, loop, tc);
+  internal::RunSlots(slots, pool, loop, tc);
+  return std::move(topk).TakeSortedNeighbors();
 }
 
 }  // namespace edr

@@ -484,10 +484,14 @@ size_t AdaptiveScheduler::Step(
   // backlog that should widen later is fanned out one-query-per-worker;
   // the wave completing shrinks pending to the widen threshold, so the
   // stragglers get the whole pool each. Waves take from the deque front,
-  // preserving arrival order.
-  if (budget <= 1 && backlog > 1 && !policy_.budget_override) {
-    const size_t tail = std::min(WidenPending(), backlog - 1);
-    const size_t wave = backlog - tail;
+  // preserving arrival order. A wave the pool could only run inline (one
+  // query, or no workers to fan out to) is not dispatched: its queries
+  // run as solo calls, so every wave query is a pool item and every other
+  // query a call on this thread.
+  const size_t tail = std::min(WidenPending(), backlog - 1);
+  const size_t wave = backlog - tail;
+  if (budget <= 1 && wave > 1 && Capacity() > 1 &&
+      !policy_.budget_override) {
     std::vector<size_t> ids(pending->begin(),
                             pending->begin() + static_cast<std::ptrdiff_t>(
                                                    wave));

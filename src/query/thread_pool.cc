@@ -38,11 +38,12 @@ thread_local bool t_inside_pool_job = false;
 
 }  // namespace
 
+unsigned ThreadPool::HardwareWorkers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 1 ? hw - 1 : 0;
+}
+
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 1 ? hw - 1 : 0;
-  }
   slices_ = std::make_unique<Slice[]>(static_cast<size_t>(threads) + 1);
   obs_ = std::make_unique<WorkerObs[]>(static_cast<size_t>(threads) + 1);
   workers_.reserve(threads);
@@ -180,7 +181,8 @@ void ThreadPool::Participate(unsigned self,
 }
 
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool* pool = new ThreadPool();  // intentionally leaked
+  // Intentionally leaked.
+  static ThreadPool* pool = new ThreadPool(HardwareWorkers());
   return *pool;
 }
 

@@ -57,9 +57,14 @@ struct ThreadPoolStats {
 /// deterministic output.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (0 = hardware concurrency - 1, so the pool
-  /// plus the calling thread saturate the machine).
-  explicit ThreadPool(unsigned threads = 0);
+  /// Spawns exactly `threads` workers. 0 is a valid pool with no workers:
+  /// every ParallelFor then runs inline on the caller. For a pool sized to
+  /// the machine, pass HardwareWorkers().
+  explicit ThreadPool(unsigned threads);
+
+  /// Hardware concurrency - 1 (at least 0): the worker count at which the
+  /// pool plus the calling thread saturate the machine.
+  static unsigned HardwareWorkers();
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -82,7 +87,7 @@ class ThreadPool {
                    unsigned max_parallelism = 0);
 
   /// The process-wide pool shared by the batch query entry points. Created
-  /// on first use; sized to hardware concurrency - 1.
+  /// on first use with HardwareWorkers() workers.
   static ThreadPool& Global();
 
   /// Cumulative activity totals since construction (all zeros when

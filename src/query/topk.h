@@ -2,9 +2,12 @@
 #define EDR_QUERY_TOPK_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "query/knn.h"
@@ -105,8 +108,8 @@ class StreamingOrder {
 /// `order` is the candidate's rank in the canonical visit order; using it
 /// as the tie-break reproduces exactly the contents a sequential
 /// KnnResultList would hold after offering the same exact distances in
-/// visit order (earlier offers win ties), which is what makes the
-/// parallel merge deterministic.
+/// visit order (earlier offers win ties), whatever order the offers
+/// arrive in — which is what makes the parallel refinement deterministic.
 class BoundedTopK {
  public:
   explicit BoundedTopK(size_t k) : k_(k) {}
@@ -125,26 +128,16 @@ class BoundedTopK {
     return heap_.front().distance;
   }
 
-  /// One kept candidate; exposed for merging.
+  /// Drains this structure into ascending (distance, order) neighbors.
+  std::vector<Neighbor> TakeSortedNeighbors() &&;
+
+ private:
   struct Item {
     double distance;
     size_t order;
     uint32_t id;
   };
-  const std::vector<Item>& items() const { return heap_; }
 
-  /// Drains this structure into ascending (distance, order) neighbors.
-  std::vector<Neighbor> TakeSortedNeighbors() &&;
-
-  /// Merges the kept candidates of several per-worker structures into the
-  /// final ascending top-k list. Because every structure kept (at least)
-  /// every candidate that can appear in the true result, and the shared
-  /// (distance, order) tie-break is a total order, the merge output is
-  /// independent of how candidates were distributed over workers.
-  static std::vector<Neighbor> Merge(std::vector<BoundedTopK> parts,
-                                     size_t k);
-
- private:
   static bool HeapLess(const Item& a, const Item& b) {
     // Max-heap on (distance, order): the root is the lex-largest kept.
     if (a.distance != b.distance) return a.distance < b.distance;
@@ -153,6 +146,44 @@ class BoundedTopK {
 
   size_t k_;
   std::vector<Item> heap_;
+};
+
+/// One query's top-k, shared by all of its refinement workers: a
+/// mutex-guarded BoundedTopK that, after each offer, publishes the exact
+/// k-th distance of everything offered so far. Workers thus prune against
+/// the threshold a sequential scan would hold after the same offers,
+/// rather than against the k-th of their own shard. Only candidates whose
+/// bounded DP finished within the threshold are offered — a few percent of
+/// the DPs — so the lock is cold.
+///
+/// The kept set is the k lexicographically smallest (distance, order)
+/// pairs offered, whatever thread offered them in whatever interleaving:
+/// exactly what one sequential BoundedTopK fed the same offers would keep.
+class SharedTopK {
+ public:
+  explicit SharedTopK(size_t k) : topk_(k), kth_(topk_.Threshold()) {}
+
+  /// The k-th distance of everything offered so far; +infinity before k
+  /// offers, -infinity for k == 0. A lock-free relaxed read: the value
+  /// only ever falls, so a stale read is larger than the current one and
+  /// merely weakens a prune.
+  double Threshold() const { return kth_.load(std::memory_order_relaxed); }
+
+  void Offer(uint32_t id, double distance, size_t order) {
+    std::lock_guard<std::mutex> lock(mu_);
+    topk_.Offer(id, distance, order);
+    kth_.store(topk_.Threshold(), std::memory_order_relaxed);
+  }
+
+  /// Call once every worker has finished offering.
+  std::vector<Neighbor> TakeSortedNeighbors() && {
+    return std::move(topk_).TakeSortedNeighbors();
+  }
+
+ private:
+  std::mutex mu_;
+  BoundedTopK topk_;  // guarded by mu_
+  std::atomic<double> kth_;
 };
 
 /// Sorts neighbors ascending by (distance, id) — the order every range

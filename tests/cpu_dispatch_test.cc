@@ -60,8 +60,8 @@ TEST(CpuDispatchTest, PinningFollowsSupport) {
 
 // Every kernel level available on this host must produce bit-identical
 // results to the pinned-scalar baseline across the three dispatching
-// kernel families: the histogram bound sweep, the Q-gram merge-count, and
-// the bit-parallel EDR match vectors.
+// kernel families: the histogram bound sweep, the Q-gram merge-count (and
+// its early-exit at-least form), and the bit-parallel EDR match vectors.
 TEST(CpuDispatchTest, AllSupportedLevelsBitIdentical) {
   LevelGuard guard;
   const TrajectoryDataset db = testutil::SmallDataset(601, 250, 6, 40);
@@ -113,6 +113,22 @@ TEST(CpuDispatchTest, AllSupportedLevelsBitIdentical) {
         ASSERT_EQ(EdrDistanceBitParallel(queries[qi], db[id], kEps, scratch),
                   base_edr[qi][id])
             << "id=" << id;
+      }
+    }
+    // The early-exit at-least test must decide exactly what the full count
+    // decides, for every threshold from "always" (<= 0) to "never" (above
+    // the number of query means), including an empty query.
+    std::vector<std::vector<Point2>> at_least_means = query_means;
+    at_least_means.emplace_back();
+    for (const std::vector<Point2>& means : at_least_means) {
+      for (uint32_t id = 0; id < db.size(); ++id) {
+        const long count =
+            static_cast<long>(means_table.CountMatches2D(means, kEps, id));
+        for (long t = -1; t <= static_cast<long>(means.size()) + 1; ++t) {
+          ASSERT_EQ(means_table.CountMatches2DAtLeast(means, kEps, id, t),
+                    count >= t)
+              << "|Q|=" << means.size() << " id=" << id << " t=" << t;
+        }
       }
     }
   }

@@ -19,6 +19,7 @@
 #include "pruning/qgram_knn.h"
 #include "query/engine.h"
 #include "query/knn.h"
+#include "query/scheduler.h"
 #include "query/thread_pool.h"
 #include "test_util.h"
 
@@ -316,38 +317,72 @@ TEST(ObsStageTest, StageCountersAddAndFinalize) {
   EXPECT_TRUE(JsonIsValid(a.ToJson())) << a.ToJson();
 }
 
+// The scheduler's execution contract, read off the pool's own counters:
+// every query of the batch ran exactly once, either as an item of a pool
+// job (a wave) or as a call on the scheduling thread (solo, widened), so
+// pool items + caller calls == queries. `delta` is the pool's activity
+// across the batch, `sched` the schedule the batch took.
+void ExpectPoolContract(const std::string& label, const ThreadPoolStats& delta,
+                        const SchedulerStats& sched, size_t queries) {
+  EXPECT_EQ(sched.queries, queries) << label;
+  const size_t caller_calls = sched.queries - sched.wave_queries;
+  if constexpr (kObsEnabled) {
+    EXPECT_EQ(delta.items + caller_calls, queries) << label;
+    EXPECT_EQ(delta.jobs, sched.waves) << label;
+    if (delta.items > 0) {
+      EXPECT_GT(delta.busy_seconds, 0.0) << label;
+    }
+  } else {
+    EXPECT_EQ(delta.jobs, 0u) << label;
+    EXPECT_EQ(delta.items, 0u) << label;
+    EXPECT_EQ(delta.busy_seconds, 0.0) << label;
+  }
+}
+
 TEST(ObsStageTest, KnnBatchReportsPoolDelta) {
   QueryEngine engine(Db(), kEps);
   const NamedSearcher seq = engine.MakeSeqScan();
   const auto queries = testutil::MakeQueries(Db(), 526, 4);
+  const std::vector<KnnResult> plain = engine.KnnBatch(seq, queries, 5);
+  const SchedulerPolicy policy;
+
+  // Forced worker counts, so every host runs the inline (0), the minimal
+  // (1) and the multi-worker schedule.
+  for (const unsigned workers : {0u, 1u, 3u}) {
+    const std::string label = "workers=" + std::to_string(workers);
+    ThreadPool pool(workers);
+    const ThreadPoolStats before = pool.Stats();
+    SchedulerStats sched;
+    const std::vector<KnnResult> batch =
+        RunScheduled(seq, queries, 5, policy, &pool, nullptr, &sched);
+    const ThreadPoolStats delta = pool.Stats().Since(before);
+    ASSERT_EQ(batch.size(), queries.size()) << label;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(SameKnnDistances(plain[i], batch[i])) << label;
+    }
+    EXPECT_EQ(delta.worker_items.size(), static_cast<size_t>(workers) + 1);
+    ExpectPoolContract(label, delta, sched, queries.size());
+    if (workers == 0) {
+      EXPECT_EQ(sched.waves, 0u) << label;
+    }
+  }
+
+  // The KnnBatch overload reports the delta of the global pool; the
+  // schedule it took is the one a quiescent pool of the same size takes.
   ThreadPoolStats delta;
   const std::vector<KnnResult> batch =
       engine.KnnBatch(seq, queries, 5, /*threads=*/0, &delta);
   ASSERT_EQ(batch.size(), queries.size());
   // The overload must not change the answers.
-  const std::vector<KnnResult> plain = engine.KnnBatch(seq, queries, 5);
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_TRUE(SameKnnDistances(plain[i], batch[i]));
   }
   EXPECT_EQ(delta.worker_items.size(),
             static_cast<size_t>(ThreadPool::Global().num_workers()) + 1);
-  if constexpr (kObsEnabled) {
-    // On a single-core host the global pool has no workers and the batch
-    // runs inline (no job dispatched); with workers the whole batch goes
-    // through the pool.
-    if (ThreadPool::Global().num_workers() > 0) {
-      EXPECT_EQ(delta.jobs, 1u);
-      EXPECT_EQ(delta.items, queries.size());
-      EXPECT_GT(delta.busy_seconds, 0.0);
-    } else {
-      EXPECT_EQ(delta.jobs, 0u);
-      EXPECT_EQ(delta.items, 0u);
-    }
-  } else {
-    EXPECT_EQ(delta.jobs, 0u);
-    EXPECT_EQ(delta.items, 0u);
-    EXPECT_EQ(delta.busy_seconds, 0.0);
-  }
+  ThreadPool same_size(ThreadPool::Global().num_workers());
+  SchedulerStats sched;
+  RunScheduled(seq, queries, 5, policy, &same_size, nullptr, &sched);
+  ExpectPoolContract("global", delta, sched, queries.size());
   EXPECT_EQ(ThreadPool::Global().QueueDepth(), 0u);
 }
 

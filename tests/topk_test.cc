@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "core/rng.h"
@@ -123,34 +124,71 @@ TEST(BoundedTopKTest, ThresholdLifecycle) {
   EXPECT_EQ(neighbors[1].id, 2u);
 }
 
-TEST(BoundedTopKTest, MergeIsScheduleIndependent) {
-  Rng rng(123);
-  std::vector<uint32_t> ids(400);
-  std::vector<double> dists(400);
-  std::vector<size_t> orders(400);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = static_cast<uint32_t>(i);
-    dists[i] = static_cast<double>(rng.UniformInt(0, 30));
-    orders[i] = i;
-  }
-  for (const size_t k : {1u, 7u, 25u}) {
-    BoundedTopK single(k);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      single.Offer(ids[i], dists[i], orders[i]);
-    }
-    const auto expected = std::move(single).TakeSortedNeighbors();
-
-    for (const size_t parts : {2u, 3u, 8u}) {
-      std::vector<BoundedTopK> shards(parts, BoundedTopK(k));
-      for (size_t i = 0; i < ids.size(); ++i) {
-        shards[i % parts].Offer(ids[i], dists[i], orders[i]);
+/// Offers `dists[i]` (rank i) into a SharedTopK from `slots` threads, slot
+/// s taking ranks s, s + slots, ... in descending rank order, so no slot
+/// sees its offers in visit order.
+void OfferFromSlots(SharedTopK* topk, const std::vector<double>& dists,
+                    size_t slots) {
+  std::vector<std::thread> threads;
+  for (size_t slot = 0; slot < slots; ++slot) {
+    threads.emplace_back([topk, &dists, slots, slot] {
+      std::vector<size_t> ranks;
+      for (size_t i = slot; i < dists.size(); i += slots) ranks.push_back(i);
+      std::reverse(ranks.begin(), ranks.end());
+      for (const size_t i : ranks) {
+        topk->Offer(static_cast<uint32_t>(i), dists[i], /*order=*/i);
       }
-      const auto merged = BoundedTopK::Merge(std::move(shards), k);
-      ASSERT_EQ(expected.size(), merged.size())
-          << "k=" << k << " parts=" << parts;
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i].id, merged[i].id);
-        EXPECT_EQ(expected[i].distance, merged[i].distance);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+}
+
+TEST(SharedTopKTest, PublishesGlobalKthAcrossSlots) {
+  // Two slots, each offering fewer than k items but k together: a per-slot
+  // heap would never fill, the shared one publishes the global k-th.
+  SharedTopK topk(4);
+  EXPECT_EQ(topk.Threshold(), std::numeric_limits<double>::infinity());
+  topk.Offer(0, 6.0, 0);  // slot 0
+  topk.Offer(1, 2.0, 1);  // slot 1
+  topk.Offer(2, 9.0, 2);  // slot 0
+  EXPECT_EQ(topk.Threshold(), std::numeric_limits<double>::infinity());
+  topk.Offer(3, 4.0, 3);  // slot 1
+  EXPECT_EQ(topk.Threshold(), 9.0);
+  topk.Offer(4, 5.0, 4);  // slot 0
+  EXPECT_EQ(topk.Threshold(), 6.0);
+
+  EXPECT_EQ(SharedTopK(0).Threshold(),
+            -std::numeric_limits<double>::infinity());
+}
+
+TEST(SharedTopKTest, ConcurrentSlotsMatchSequentialHeap) {
+  Rng rng(123);
+  std::vector<double> dists(400);
+  for (double& d : dists) d = static_cast<double>(rng.UniformInt(0, 30));
+  for (const size_t k : {1u, 7u, 25u}) {
+    // n = 30 with two slots: each slot holds 15 < k = 25 items, together
+    // more than k.
+    for (const size_t n : {size_t{30}, dists.size()}) {
+      const std::vector<double> offers(dists.begin(), dists.begin() + n);
+      BoundedTopK single(k);
+      for (size_t i = 0; i < n; ++i) {
+        single.Offer(static_cast<uint32_t>(i), offers[i], i);
+      }
+      const double expected_kth = single.Threshold();
+      const auto expected = std::move(single).TakeSortedNeighbors();
+
+      for (const size_t slots : {2u, 3u, 8u}) {
+        SharedTopK shared(k);
+        OfferFromSlots(&shared, offers, slots);
+        EXPECT_EQ(shared.Threshold(), expected_kth)
+            << "k=" << k << " n=" << n << " slots=" << slots;
+        const auto merged = std::move(shared).TakeSortedNeighbors();
+        ASSERT_EQ(expected.size(), merged.size())
+            << "k=" << k << " n=" << n << " slots=" << slots;
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(expected[i].id, merged[i].id);
+          EXPECT_EQ(expected[i].distance, merged[i].distance);
+        }
       }
     }
   }
