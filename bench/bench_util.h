@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cpu.h"
 #include "core/dataset.h"
 #include "eval/metrics.h"
 #include "obs/obs.h"
@@ -34,14 +35,19 @@ inline void WarnIfSingleCore() {
   }
 }
 
-/// Emits the host-core fields every BENCH_*.json records — two top-level
-/// lines `"host_cores": N` and `"single_core_warning": bool`, both
-/// comma-terminated — so consumers can discount parallel numbers measured
-/// on starved hosts. The single shared emitter: benches must not print
+/// Emits the host fields every BENCH_*.json records — three top-level
+/// lines `"host_cores": N`, `"single_core_warning": bool` and
+/// `"kernel_level": "<name>"` (the dispatch level of ActiveKernelLevel()),
+/// all comma-terminated — so consumers can discount parallel numbers
+/// measured on starved hosts and compare kernel numbers only across runs
+/// at the same level. The single shared emitter: benches must not print
 /// these fields themselves.
 inline void FprintHostJson(std::FILE* out) {
-  std::fprintf(out, "  \"host_cores\": %u,\n  \"single_core_warning\": %s,\n",
-               HostCores(), HostCores() <= 1 ? "true" : "false");
+  std::fprintf(out,
+               "  \"host_cores\": %u,\n  \"single_core_warning\": %s,\n"
+               "  \"kernel_level\": \"%s\",\n",
+               HostCores(), HostCores() <= 1 ? "true" : "false",
+               KernelLevelName(ActiveKernelLevel()));
 }
 
 /// Scale control for the paper-reproduction benches.

@@ -1,5 +1,6 @@
 #include "data/io.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -51,6 +52,11 @@ Result<TrajectoryDataset> LoadCsv(const std::string& path) {
         4) {
       return Status::InvalidArgument("malformed CSV at " + path + ":" +
                                      std::to_string(line_no) + ": " + line);
+    }
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+      return Status::InvalidArgument("non-finite coordinate at " + path +
+                                     ":" + std::to_string(line_no) + ": " +
+                                     line);
     }
     if (!have_current || index != current_index) {
       if (have_current) db.Add(std::move(current));
@@ -128,6 +134,12 @@ Result<TrajectoryDataset> LoadBinary(const std::string& path) {
     in.read(reinterpret_cast<char*>(points.data()),
             static_cast<std::streamsize>(length * sizeof(Point2)));
     if (!in) return Status::IoError("truncated payload: " + path);
+    for (const Point2& p : points) {
+      if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+        return Status::InvalidArgument("non-finite coordinate in trajectory " +
+                                       std::to_string(i) + " of " + path);
+      }
+    }
     db.Add(Trajectory(std::move(points), label));
   }
   return db;

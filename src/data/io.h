@@ -20,7 +20,9 @@ Status SaveCsv(const TrajectoryDataset& db, const std::string& path);
 /// Reads a dataset written by SaveCsv (or produced externally in the same
 /// format). Lines starting with '#' and blank lines are skipped.
 /// Trajectory indexes must be grouped (all samples of a trajectory on
-/// consecutive lines) but need not be dense or ordered.
+/// consecutive lines) but need not be dense or ordered. A NaN or infinite
+/// coordinate fails with kInvalidArgument naming the line: the filters'
+/// bounds assume finite points.
 Result<TrajectoryDataset> LoadCsv(const std::string& path);
 
 /// Writes a dataset in a compact little-endian binary format (roughly 3x
@@ -31,7 +33,8 @@ Result<TrajectoryDataset> LoadCsv(const std::string& path);
 Status SaveBinary(const TrajectoryDataset& db, const std::string& path);
 
 /// Reads a dataset written by SaveBinary. Fails with kInvalidArgument on
-/// a bad magic/version and kIoError on truncation.
+/// a bad magic/version or a NaN/infinite coordinate (naming the
+/// trajectory index) and kIoError on truncation.
 Result<TrajectoryDataset> LoadBinary(const std::string& path);
 
 }  // namespace edr

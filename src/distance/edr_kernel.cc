@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 
 #include "core/cpu.h"
@@ -33,7 +34,16 @@ std::atomic<EdrKernel> g_default_kernel{EdrKernel::kBitParallel};
 // SoA pattern copies. The match tests below stream over these flat arrays
 // with branch-free compares; the compiler vectorizes them, which it cannot
 // do over the AoS Point2/Point3 layout inside Trajectory.
+//
+// Rows [m, m8) of the copy, m8 = EdrScratch::PaddedRows(m), hold quiet NaN.
+// |NaN - s| <= epsilon is false under the ordered compare of every level
+// and under the scalar Match(), so padded rows are permanent mismatches
+// and every builder runs whole 8-row groups, with no per-column scalar
+// tail. Rows above the pattern never reach the tracked row-m bit (see
+// MyersCore), so the padding leaves every distance unchanged.
 // ---------------------------------------------------------------------------
+
+constexpr double kPadRow = std::numeric_limits<double>::quiet_NaN();
 
 void FillPattern(EdrScratch& sc, const Trajectory& t) {
   double* px = sc.px();
@@ -42,6 +52,9 @@ void FillPattern(EdrScratch& sc, const Trajectory& t) {
     px[i] = t[i].x;
     py[i] = t[i].y;
   }
+  const size_t m8 = EdrScratch::PaddedRows(t.size());
+  std::fill(px + t.size(), px + m8, kPadRow);
+  std::fill(py + t.size(), py + m8, kPadRow);
 }
 
 void FillPattern(EdrScratch& sc, const Trajectory3& t) {
@@ -53,6 +66,10 @@ void FillPattern(EdrScratch& sc, const Trajectory3& t) {
     py[i] = t[i].y;
     pz[i] = t[i].z;
   }
+  const size_t m8 = EdrScratch::PaddedRows(t.size());
+  std::fill(px + t.size(), px + m8, kPadRow);
+  std::fill(py + t.size(), py + m8, kPadRow);
+  std::fill(pz + t.size(), pz + m8, kPadRow);
 }
 
 // Per-column match bit-vector: bit i of eq is set iff pattern element i
@@ -63,8 +80,10 @@ void FillPattern(EdrScratch& sc, const Trajectory3& t) {
 // writing one 0/1 byte per pattern element, then a multiply-pack turning
 // each group of eight bool bytes into eight bits (the partial products of
 // kPackMagic land on pairwise-distinct bit positions, so no carries and
-// the pack is exact). Bytes [m, words*64) are zeroed once per call by the
-// caller, which makes the padding rows permanent mismatches.
+// the pack is exact). The builders take m8, the padded row count, so
+// every SIMD level runs whole lane groups; bytes [m8, words*64) are zeroed
+// once per call by the caller, so with the NaN rows every row at or above
+// m is a permanent mismatch.
 constexpr uint64_t kPackMagic = 0x0102040810204080ULL;
 
 inline void PackMatchBytes(const uint8_t* match, size_t words, uint64_t* eq) {
@@ -79,14 +98,14 @@ inline void PackMatchBytes(const uint8_t* match, size_t words, uint64_t* eq) {
   }
 }
 
-// Scalar reference bodies: one 0/1 byte per pattern element, then the
+// Scalar reference bodies: one 0/1 byte per padded pattern row, then the
 // multiply-pack. Every platform compiles these; they are also the kScalar
 // dispatch target and the only path under EDR_DISABLE_SIMD.
 
-inline void BuildEqScalar(const double* px, const double* py, size_t m,
+inline void BuildEqScalar(const double* px, const double* py, size_t m8,
                           Point2 s, double epsilon, uint8_t* match,
                           size_t words, uint64_t* eq) {
-  for (size_t i = 0; i < m; ++i) {
+  for (size_t i = 0; i < m8; ++i) {
     match[i] = static_cast<uint8_t>((std::fabs(px[i] - s.x) <= epsilon) &
                                     (std::fabs(py[i] - s.y) <= epsilon));
   }
@@ -94,10 +113,10 @@ inline void BuildEqScalar(const double* px, const double* py, size_t m,
 }
 
 inline void BuildEq3Scalar(const double* px, const double* py,
-                           const double* pz, size_t m, Point3 s,
+                           const double* pz, size_t m8, Point3 s,
                            double epsilon, uint8_t* match, size_t words,
                            uint64_t* eq) {
-  for (size_t i = 0; i < m; ++i) {
+  for (size_t i = 0; i < m8; ++i) {
     match[i] = static_cast<uint8_t>((std::fabs(px[i] - s.x) <= epsilon) &
                                     (std::fabs(py[i] - s.y) <= epsilon) &
                                     (std::fabs(pz[i] - s.z) <= epsilon));
@@ -114,7 +133,7 @@ inline void BuildEq3Scalar(const double* px, const double* py,
 // variants below repeat the same per-lane operations, so every level
 // builds the identical bit-vector.
 
-inline void BuildEqSse2(const double* px, const double* py, size_t m,
+inline void BuildEqSse2(const double* px, const double* py, size_t m8,
                         Point2 s, double epsilon, uint8_t* /*match*/,
                         size_t words, uint64_t* eq) {
   const __m128d sign = _mm_set1_pd(-0.0);
@@ -123,10 +142,9 @@ inline void BuildEqSse2(const double* px, const double* py, size_t m,
   const __m128d sy = _mm_set1_pd(s.y);
   for (size_t w = 0; w < words; ++w) {
     const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
+    const size_t limit = std::min<size_t>(64, m8 - base);
     uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 2 <= limit; k += 2) {
+    for (size_t k = 0; k < limit; k += 2) {
       const __m128d cx = _mm_cmple_pd(
           _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(px + base + k), sx)),
           eps);
@@ -136,18 +154,12 @@ inline void BuildEqSse2(const double* px, const double* py, size_t m,
       bits |= static_cast<uint64_t>(_mm_movemask_pd(_mm_and_pd(cx, cy)))
               << k;
     }
-    if (k < limit) {
-      const uint64_t last = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon));
-      bits |= last << k;
-    }
     eq[w] = bits;
   }
 }
 
 inline void BuildEq3Sse2(const double* px, const double* py,
-                         const double* pz, size_t m, Point3 s, double epsilon,
+                         const double* pz, size_t m8, Point3 s, double epsilon,
                          uint8_t* /*match*/, size_t words, uint64_t* eq) {
   const __m128d sign = _mm_set1_pd(-0.0);
   const __m128d eps = _mm_set1_pd(epsilon);
@@ -156,10 +168,9 @@ inline void BuildEq3Sse2(const double* px, const double* py,
   const __m128d sz = _mm_set1_pd(s.z);
   for (size_t w = 0; w < words; ++w) {
     const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
+    const size_t limit = std::min<size_t>(64, m8 - base);
     uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 2 <= limit; k += 2) {
+    for (size_t k = 0; k < limit; k += 2) {
       const __m128d cx = _mm_cmple_pd(
           _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(px + base + k), sx)),
           eps);
@@ -173,13 +184,6 @@ inline void BuildEq3Sse2(const double* px, const double* py,
                   _mm_movemask_pd(_mm_and_pd(_mm_and_pd(cx, cy), cz)))
               << k;
     }
-    if (k < limit) {
-      const uint64_t last = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon) &
-          (std::fabs(pz[base + k] - s.z) <= epsilon));
-      bits |= last << k;
-    }
     eq[w] = bits;
   }
 }
@@ -189,7 +193,7 @@ inline void BuildEq3Sse2(const double* px, const double* py,
 #if defined(EDR_EDRKERNEL_AVX2)
 
 __attribute__((target("avx2"))) void BuildEqAvx2(const double* px,
-                                                 const double* py, size_t m,
+                                                 const double* py, size_t m8,
                                                  Point2 s, double epsilon,
                                                  uint8_t* /*match*/,
                                                  size_t words, uint64_t* eq) {
@@ -199,10 +203,9 @@ __attribute__((target("avx2"))) void BuildEqAvx2(const double* px,
   const __m256d sy = _mm256_set1_pd(s.y);
   for (size_t w = 0; w < words; ++w) {
     const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
+    const size_t limit = std::min<size_t>(64, m8 - base);
     uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 4 <= limit; k += 4) {
+    for (size_t k = 0; k < limit; k += 4) {
       const __m256d cx = _mm256_cmp_pd(
           _mm256_andnot_pd(sign,
                            _mm256_sub_pd(_mm256_loadu_pd(px + base + k), sx)),
@@ -214,18 +217,12 @@ __attribute__((target("avx2"))) void BuildEqAvx2(const double* px,
       bits |= static_cast<uint64_t>(_mm256_movemask_pd(_mm256_and_pd(cx, cy)))
               << k;
     }
-    for (; k < limit; ++k) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon));
-      bits |= one << k;
-    }
     eq[w] = bits;
   }
 }
 
 __attribute__((target("avx2"))) void BuildEq3Avx2(
-    const double* px, const double* py, const double* pz, size_t m, Point3 s,
+    const double* px, const double* py, const double* pz, size_t m8, Point3 s,
     double epsilon, uint8_t* /*match*/, size_t words, uint64_t* eq) {
   const __m256d sign = _mm256_set1_pd(-0.0);
   const __m256d eps = _mm256_set1_pd(epsilon);
@@ -234,10 +231,9 @@ __attribute__((target("avx2"))) void BuildEq3Avx2(
   const __m256d sz = _mm256_set1_pd(s.z);
   for (size_t w = 0; w < words; ++w) {
     const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
+    const size_t limit = std::min<size_t>(64, m8 - base);
     uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 4 <= limit; k += 4) {
+    for (size_t k = 0; k < limit; k += 4) {
       const __m256d cx = _mm256_cmp_pd(
           _mm256_andnot_pd(sign,
                            _mm256_sub_pd(_mm256_loadu_pd(px + base + k), sx)),
@@ -254,13 +250,6 @@ __attribute__((target("avx2"))) void BuildEq3Avx2(
                   _mm256_and_pd(_mm256_and_pd(cx, cy), cz)))
               << k;
     }
-    for (; k < limit; ++k) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon) &
-          (std::fabs(pz[base + k] - s.z) <= epsilon));
-      bits |= one << k;
-    }
     eq[w] = bits;
   }
 }
@@ -273,17 +262,16 @@ __attribute__((target("avx2"))) void BuildEq3Avx2(
 // bits go straight into the eq word, eight rows per step.
 
 __attribute__((target("avx512f"))) void BuildEqAvx512(
-    const double* px, const double* py, size_t m, Point2 s, double epsilon,
+    const double* px, const double* py, size_t m8, Point2 s, double epsilon,
     uint8_t* /*match*/, size_t words, uint64_t* eq) {
   const __m512d eps = _mm512_set1_pd(epsilon);
   const __m512d sx = _mm512_set1_pd(s.x);
   const __m512d sy = _mm512_set1_pd(s.y);
   for (size_t w = 0; w < words; ++w) {
     const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
+    const size_t limit = std::min<size_t>(64, m8 - base);
     uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 8 <= limit; k += 8) {
+    for (size_t k = 0; k < limit; k += 8) {
       const __mmask8 cx = _mm512_cmp_pd_mask(
           _mm512_abs_pd(_mm512_sub_pd(_mm512_loadu_pd(px + base + k), sx)),
           eps, _CMP_LE_OQ);
@@ -292,18 +280,12 @@ __attribute__((target("avx512f"))) void BuildEqAvx512(
           eps, _CMP_LE_OQ);
       bits |= static_cast<uint64_t>(cx & cy) << k;
     }
-    for (; k < limit; ++k) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon));
-      bits |= one << k;
-    }
     eq[w] = bits;
   }
 }
 
 __attribute__((target("avx512f"))) void BuildEq3Avx512(
-    const double* px, const double* py, const double* pz, size_t m, Point3 s,
+    const double* px, const double* py, const double* pz, size_t m8, Point3 s,
     double epsilon, uint8_t* /*match*/, size_t words, uint64_t* eq) {
   const __m512d eps = _mm512_set1_pd(epsilon);
   const __m512d sx = _mm512_set1_pd(s.x);
@@ -311,10 +293,9 @@ __attribute__((target("avx512f"))) void BuildEq3Avx512(
   const __m512d sz = _mm512_set1_pd(s.z);
   for (size_t w = 0; w < words; ++w) {
     const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
+    const size_t limit = std::min<size_t>(64, m8 - base);
     uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 8 <= limit; k += 8) {
+    for (size_t k = 0; k < limit; k += 8) {
       const __mmask8 cx = _mm512_cmp_pd_mask(
           _mm512_abs_pd(_mm512_sub_pd(_mm512_loadu_pd(px + base + k), sx)),
           eps, _CMP_LE_OQ);
@@ -325,13 +306,6 @@ __attribute__((target("avx512f"))) void BuildEq3Avx512(
           _mm512_abs_pd(_mm512_sub_pd(_mm512_loadu_pd(pz + base + k), sz)),
           eps, _CMP_LE_OQ);
       bits |= static_cast<uint64_t>(cx & cy & cz) << k;
-    }
-    for (; k < limit; ++k) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon) &
-          (std::fabs(pz[base + k] - s.z) <= epsilon));
-      bits |= one << k;
     }
     eq[w] = bits;
   }
@@ -344,7 +318,7 @@ __attribute__((target("avx512f"))) void BuildEq3Avx512(
 // NEON: FABD gives |d| with the same single rounding as fabs(a - b); the
 // two compare lanes land in the eq word via lane extracts.
 
-inline void BuildEqNeon(const double* px, const double* py, size_t m,
+inline void BuildEqNeon(const double* px, const double* py, size_t m8,
                         Point2 s, double epsilon, uint8_t* /*match*/,
                         size_t words, uint64_t* eq) {
   const float64x2_t eps = vdupq_n_f64(epsilon);
@@ -352,10 +326,9 @@ inline void BuildEqNeon(const double* px, const double* py, size_t m,
   const float64x2_t sy = vdupq_n_f64(s.y);
   for (size_t w = 0; w < words; ++w) {
     const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
+    const size_t limit = std::min<size_t>(64, m8 - base);
     uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 2 <= limit; k += 2) {
+    for (size_t k = 0; k < limit; k += 2) {
       const uint64x2_t cx = vcleq_f64(vabdq_f64(vld1q_f64(px + base + k), sx),
                                       eps);
       const uint64x2_t cy = vcleq_f64(vabdq_f64(vld1q_f64(py + base + k), sy),
@@ -364,18 +337,12 @@ inline void BuildEqNeon(const double* px, const double* py, size_t m,
       bits |= ((vgetq_lane_u64(c, 0) & 1) | ((vgetq_lane_u64(c, 1) & 1) << 1))
               << k;
     }
-    if (k < limit) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon));
-      bits |= one << k;
-    }
     eq[w] = bits;
   }
 }
 
 inline void BuildEq3Neon(const double* px, const double* py, const double* pz,
-                         size_t m, Point3 s, double epsilon,
+                         size_t m8, Point3 s, double epsilon,
                          uint8_t* /*match*/, size_t words, uint64_t* eq) {
   const float64x2_t eps = vdupq_n_f64(epsilon);
   const float64x2_t sx = vdupq_n_f64(s.x);
@@ -383,10 +350,9 @@ inline void BuildEq3Neon(const double* px, const double* py, const double* pz,
   const float64x2_t sz = vdupq_n_f64(s.z);
   for (size_t w = 0; w < words; ++w) {
     const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
+    const size_t limit = std::min<size_t>(64, m8 - base);
     uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 2 <= limit; k += 2) {
+    for (size_t k = 0; k < limit; k += 2) {
       const uint64x2_t cx = vcleq_f64(vabdq_f64(vld1q_f64(px + base + k), sx),
                                       eps);
       const uint64x2_t cy = vcleq_f64(vabdq_f64(vld1q_f64(py + base + k), sy),
@@ -396,13 +362,6 @@ inline void BuildEq3Neon(const double* px, const double* py, const double* pz,
       const uint64x2_t c = vandq_u64(vandq_u64(cx, cy), cz);
       bits |= ((vgetq_lane_u64(c, 0) & 1) | ((vgetq_lane_u64(c, 1) & 1) << 1))
               << k;
-    }
-    if (k < limit) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon) &
-          (std::fabs(pz[base + k] - s.z) <= epsilon));
-      bits |= one << k;
     }
     eq[w] = bits;
   }
@@ -457,10 +416,11 @@ Eq3Fn BuildEq3For(KernelLevel level) {
 
 // ---------------------------------------------------------------------------
 // Myers' bit-parallel recurrence (Myers 1999, with Hyyro's carry-in
-// correction as implemented in edlib). The pattern is the shorter
-// trajectory; each machine word holds 64 DP rows as vertical-delta bits
-// (vp: +1, vn: -1), and one column of the DP advances with ~15 word ops
-// per word. score tracks D[m][j] via the horizontal-delta bits at row m.
+// correction as implemented in edlib). The pattern is whichever trajectory
+// OrientationCost below prefers; each machine word holds 64 DP rows as
+// vertical-delta bits (vp: +1, vn: -1), and one column of the DP advances
+// with ~15 word ops per word. score tracks D[m][j] via the horizontal-delta
+// bits at row m.
 //
 // Unused high bits of the last word start as vp=1 garbage; every operation
 // propagates information strictly upward (addition carries, shifts), so
@@ -517,40 +477,65 @@ int MyersCore(size_t m, size_t n, int bound, EdrScratch& sc,
   return score;
 }
 
+// Orientation cost model. EDR is symmetric, so either trajectory can be
+// the pattern; a column over a pattern of p rows costs ceil(p/64) Myers
+// word-steps, ceil(p/8) compare groups of the match build and a fixed
+// per-column overhead (builder call, broadcasts, abandon test), and there
+// is one column per text point. The weights 3 : 1 : 2 are a least squares
+// split of ns/column at AVX-512 (~3.8 ns per word, ~1.4 per group, ~2.9
+// per column; docs/ALGORITHMS.md section 1). They are the same at every
+// level, so the orientation is a pure function of the two lengths.
+constexpr size_t kWordCost = 3;
+constexpr size_t kGroupCost = 1;
+constexpr size_t kColumnCost = 2;
+
+constexpr size_t OrientationCost(size_t pattern, size_t text) {
+  return (kWordCost * ((pattern + 63) / 64) +
+          kGroupCost * ((pattern + 7) / 8) + kColumnCost) *
+         text;
+}
+
 template <typename TrajectoryT>
 int BitParallelEdr(const TrajectoryT& r, const TrajectoryT& s, double epsilon,
                    int bound, EdrScratch& sc) {
-  // EDR is symmetric; make the shorter trajectory the pattern so the
-  // column loop runs over fewer words.
+  if (r.empty()) return static_cast<int>(s.size());
+  if (s.empty()) return static_cast<int>(r.size());
+  const int length_bound = static_cast<int>(
+      r.size() > s.size() ? r.size() - s.size() : s.size() - r.size());
+  if (length_bound > bound) return length_bound;
+
+  // Start from the shorter trajectory as the pattern (so ties keep it) and
+  // swap only when the other orientation is strictly cheaper.
   const TrajectoryT* pat = &r;
   const TrajectoryT* txt = &s;
   if (pat->size() > txt->size()) std::swap(pat, txt);
+  if (OrientationCost(txt->size(), pat->size()) <
+      OrientationCost(pat->size(), txt->size())) {
+    std::swap(pat, txt);
+  }
   const size_t m = pat->size();
   const size_t n = txt->size();
-  if (m == 0) return static_cast<int>(n);
-
-  const int length_bound = static_cast<int>(n - m);
-  if (length_bound > bound) return length_bound;
 
   sc.ReservePattern(m);
   FillPattern(sc, *pat);
   const double* px = sc.px();
   const double* py = sc.py();
+  const size_t m8 = EdrScratch::PaddedRows(m);
   const size_t words = (m + 63) / 64;
   uint8_t* match = sc.match();
-  std::fill(match + m, match + words * 64, uint8_t{0});
+  std::fill(match + m8, match + words * 64, uint8_t{0});
   if constexpr (std::is_same_v<TrajectoryT, Trajectory3>) {
     const Eq3Fn build_eq3 = BuildEq3For(ActiveKernelLevel());
     const double* pz = sc.pz();
     const TrajectoryT& text = *txt;
     return MyersCore(m, n, bound, sc, [&](size_t j, uint64_t* eq) {
-      build_eq3(px, py, pz, m, text[j], epsilon, match, words, eq);
+      build_eq3(px, py, pz, m8, text[j], epsilon, match, words, eq);
     });
   } else {
     const Eq2Fn build_eq2 = BuildEqFor(ActiveKernelLevel());
     const TrajectoryT& text = *txt;
     return MyersCore(m, n, bound, sc, [&](size_t j, uint64_t* eq) {
-      build_eq2(px, py, m, text[j], epsilon, match, words, eq);
+      build_eq2(px, py, m8, text[j], epsilon, match, words, eq);
     });
   }
 }

@@ -35,19 +35,24 @@ void SetDefaultEdrKernel(EdrKernel kernel);
 /// the allocator. One instance per thread; see ThreadLocalEdrScratch().
 ///
 /// Layout: a flat SoA copy of the pattern trajectory (px/py/pz) that the
-/// per-column match tests stream over with two (three in 3-D) vectorizable
-/// compares per element; the three bit-vector words of the Myers recurrence
-/// (vp/vn/eq, one bit per pattern row); and the two rolling integer rows of
-/// the scalar DP.
+/// per-column match tests stream over in whole 8-row groups, with the rows
+/// past the pattern padded by quiet NaN up to PaddedRows(m); the three
+/// bit-vector words of the Myers recurrence (vp/vn/eq, one bit per pattern
+/// row); and the two rolling integer rows of the scalar DP.
 class EdrScratch {
  public:
-  /// Ensures capacity for a pattern of length m (SoA arrays + ceil(m/64)
-  /// words + the byte-mask staging buffer). Never shrinks.
+  /// Rows the SoA pattern copy spans for a pattern of length m: m rounded
+  /// up to a whole group of 8, the widest compare step of any kernel level.
+  static constexpr size_t PaddedRows(size_t m) { return (m + 7) / 8 * 8; }
+
+  /// Ensures capacity for a pattern of length m (PaddedRows(m) SoA rows +
+  /// ceil(m/64) words + the byte-mask staging buffer). Never shrinks.
   void ReservePattern(size_t m) {
-    if (px_.size() < m) {
-      px_.resize(m);
-      py_.resize(m);
-      pz_.resize(m);
+    const size_t m8 = PaddedRows(m);
+    if (px_.size() < m8) {
+      px_.resize(m8);
+      py_.resize(m8);
+      pz_.resize(m8);
     }
     const size_t words = (m + 63) / 64;
     if (vp_.size() < words) {

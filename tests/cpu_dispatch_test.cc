@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/cpu.h"
+#include "core/rng.h"
+#include "core/trajectory3.h"
+#include "distance/distance3.h"
 #include "distance/edr.h"
 #include "distance/edr_kernel.h"
 #include "pruning/histogram.h"
@@ -253,13 +257,78 @@ TEST(CpuDispatchTest, FusedQgramCountsBitIdenticalAcrossLevels) {
   }
 }
 
+Trajectory3 RandomWalk3(Rng& rng, size_t length) {
+  Trajectory3 t;
+  Point3 pos{rng.Gaussian(), rng.Gaussian(), rng.Gaussian()};
+  for (size_t i = 0; i < length; ++i) {
+    t.Append(pos);
+    pos.x += rng.Gaussian(0.0, 0.1);
+    pos.y += rng.Gaussian(0.0, 0.1);
+    pos.z += rng.Gaussian(0.0, 0.1);
+  }
+  return t;
+}
+
+/// The bit-parallel kernel's whole contract on one pair whose scalar-DP
+/// distance is `exact`: the unbounded value in both argument orders, and
+/// the bounded one (exact within the bound, a lower bound above it
+/// otherwise) at bounds -1, 0, exact-1, exact and exact+3, both orders.
+template <typename TrajectoryT>
+::testing::AssertionResult KernelContractHolds(const TrajectoryT& a,
+                                               const TrajectoryT& b,
+                                               int exact,
+                                               EdrScratch& scratch) {
+  const TrajectoryT* order[2][2] = {{&a, &b}, {&b, &a}};
+  for (const auto& args : order) {
+    const TrajectoryT& x = *args[0];
+    const TrajectoryT& y = *args[1];
+    const int got = EdrDistanceBitParallel(x, y, kEps, scratch);
+    if (got != exact) {
+      return ::testing::AssertionFailure()
+             << "|x|=" << x.size() << " |y|=" << y.size() << " unbounded "
+             << got << " != scalar " << exact;
+    }
+    for (const int bound : {-1, 0, exact - 1, exact, exact + 3}) {
+      const int capped = EdrDistanceBitParallelBounded(x, y, kEps, bound,
+                                                       scratch);
+      const bool ok = exact <= bound ? capped == exact
+                                     : capped > bound && capped <= exact;
+      if (!ok) {
+        return ::testing::AssertionFailure()
+               << "|x|=" << x.size() << " |y|=" << y.size() << " bound "
+               << bound << " gave " << capped << ", exact " << exact;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // The bounded (early-abandoning) bit-parallel kernel must keep its
 // contract at every level: exact when within bound, certified > bound
-// otherwise.
+// otherwise. The length cross hits every remainder of the 8-row padding
+// and both sides of the 64-row word edges; both argument orders run both
+// pattern/text orientations, in 2-D and 3-D, against the scalar DP. The
+// NaN pairs put a NaN row inside a pattern, which must mismatch every text
+// point at every level, as it does in the scalar Match().
 TEST(CpuDispatchTest, BoundedEdrContractAtEveryLevel) {
   LevelGuard guard;
   const TrajectoryDataset db = testutil::SmallDataset(603, 60, 6, 40);
   EdrScratch scratch;
+
+  const size_t lengths[] = {1,  7,   8,   9,   15,  16,  17,  63,
+                            64, 65,  127, 128, 129, 255, 256, 257};
+  Rng rng(607);
+  std::vector<Trajectory> walks;
+  std::vector<Trajectory3> walks3;
+  for (const size_t len : lengths) {
+    walks.push_back(testutil::RandomWalk(rng, len, 0.1));
+    walks3.push_back(RandomWalk3(rng, len));
+  }
+  Trajectory nan_walk = testutil::RandomWalk(rng, 20, 0.1);
+  nan_walk[3].x = std::numeric_limits<double>::quiet_NaN();
+  Trajectory3 nan_walk3 = RandomWalk3(rng, 70);
+  nan_walk3[9].z = std::numeric_limits<double>::quiet_NaN();
+
   for (const KernelLevel level : kAllLevels) {
     if (!KernelLevelSupported(level)) continue;
     ASSERT_TRUE(SetActiveKernelLevel(level));
@@ -277,6 +346,21 @@ TEST(CpuDispatchTest, BoundedEdrContractAtEveryLevel) {
           EXPECT_GT(got, bound);
         }
       }
+    }
+    for (size_t i = 0; i < walks.size(); ++i) {
+      for (size_t j = 0; j < walks.size(); ++j) {
+        ASSERT_TRUE(KernelContractHolds(
+            walks[i], walks[j], EdrDistance(walks[i], walks[j], kEps),
+            scratch));
+        ASSERT_TRUE(KernelContractHolds(
+            walks3[i], walks3[j], EdrDistance(walks3[i], walks3[j], kEps),
+            scratch));
+      }
+      ASSERT_TRUE(KernelContractHolds(
+          nan_walk, walks[i], EdrDistance(nan_walk, walks[i], kEps), scratch));
+      ASSERT_TRUE(KernelContractHolds(nan_walk3, walks3[i],
+                                      EdrDistance(nan_walk3, walks3[i], kEps),
+                                      scratch));
     }
   }
 }

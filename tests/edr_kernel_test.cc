@@ -82,7 +82,8 @@ TEST(EdrKernelTest, BitParallelMatchesScalarOnRandomPairs) {
 TEST(EdrKernelTest, WordBoundaryLengths) {
   Rng rng(7);
   EdrScratch scratch;
-  const size_t lengths[] = {1, 2, 63, 64, 65, 127, 128, 129, 192, 256};
+  const size_t lengths[] = {1,  2,   7,   8,   9,   15,  16,  17,
+                            63, 64,  65,  127, 128, 129, 192, 256};
   for (const size_t la : lengths) {
     for (const size_t lb : lengths) {
       const Trajectory a = RandomTrajectory(rng, la);

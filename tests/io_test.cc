@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "data/generators.h"
@@ -113,6 +114,47 @@ TEST(BinaryIoTest, EmptyDatasetRoundTrips) {
   const Result<TrajectoryDataset> r = LoadBinary(path);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, NonFiniteCoordinateIsInvalidArgument) {
+  const std::string path = TempPath("nonfinite.csv");
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "1e999"}) {
+    {
+      std::ofstream out(path);
+      out << "# traj_index,label,x,y\n";
+      out << "0,1,0.5,0.5\n";
+      out << "0,1," << bad << ",0.25\n";
+      out << "1,1,0.5," << bad << "\n";
+    }
+    const Result<TrajectoryDataset> r = LoadCsv(path);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+    // The first bad line is named, not a later one.
+    EXPECT_NE(r.status().message().find(":3"), std::string::npos)
+        << r.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, NonFiniteCoordinateRejected) {
+  const std::string path = TempPath("nonfinite.edrt");
+  const double bads[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (const double bad : bads) {
+    TrajectoryDataset db;
+    db.Add(Trajectory({{0.0, 0.0}, {1.0, 1.0}}));
+    db.Add(Trajectory({{0.0, 0.0}}));
+    db.Add(Trajectory({{0.0, 0.0}, {2.0, bad}}));
+    db.Add(Trajectory({{bad, 0.0}}));
+    ASSERT_TRUE(SaveBinary(db, path).ok());
+    const Result<TrajectoryDataset> r = LoadBinary(path);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(r.status().message().find("trajectory 2 "), std::string::npos)
+        << r.status().ToString();
+  }
   std::remove(path.c_str());
 }
 
