@@ -88,9 +88,10 @@ class EdrScratch {
   std::vector<int> prev_, curr_;
 };
 
-/// The calling thread's scratch buffer. Parallel users (ParallelKnn
-/// workers, PairwiseEdrMatrix::BuildParallel) each get their own copy for
-/// free; single-threaded searchers share one warm buffer per thread.
+/// The calling thread's scratch buffer. Parallel users (pool workers
+/// running QueryEngine::KnnBatch or intra-query refinement,
+/// PairwiseEdrMatrix::BuildParallel) each get their own copy for free;
+/// single-threaded searchers share one warm buffer per thread.
 EdrScratch& ThreadLocalEdrScratch();
 
 /// Bound value meaning "no early abandon": large enough that no reachable

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 
 #include "distance/edr_kernel.h"
 #include "obs/trace.h"
@@ -51,14 +50,19 @@ CombinedKnnSearcher::CombinedKnnSearcher(const TrajectoryDataset& db,
 
 KnnResult CombinedKnnSearcher::Knn(const Trajectory& query, size_t k,
                                    const KnnOptions& options) const {
-  const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
+  if (k == 0) return EmptyKnnResult(db_.size());
+  return Search(query, RefineTarget::Nearest(k), options);
+}
 
+KnnResult CombinedKnnSearcher::Range(const Trajectory& query,
+                                     int radius) const {
+  return Search(query, RefineTarget::Within(radius), KnnOptions{});
+}
+
+KnnResult CombinedKnnSearcher::Search(const Trajectory& query,
+                                      const RefineTarget& target,
+                                      const KnnOptions& options) const {
+  const auto start = std::chrono::steady_clock::now();
   std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
   RecordSchedBudget(trace.get(), options);
   TraceSpan sweep_span(trace.get(), "bound_sweep");
@@ -84,15 +88,12 @@ KnnResult CombinedKnnSearcher::Knn(const Trajectory& query, size_t k,
   // would have pruned. When the histogram filter runs first (and sorted
   // scanning is enabled) we additionally adopt the HSR strategy:
   // candidates in ascending-bound order, hard stop at the first bound
-  // above the k-th distance.
+  // above the threshold.
   std::vector<int> bounds;
   histograms_.FastLowerBoundSweepParallel(qh, &bounds, options);
   sweep_span.End();
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return RefineWithBounds(query, k, options, bounds, query_means,
-                          std::move(trace), filter_seconds);
+  return RefineWithBounds(query, target, options, bounds, query_means,
+                          std::move(trace), SecondsSince(start));
 }
 
 std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
@@ -100,15 +101,11 @@ std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
     const KnnOptions& options) const {
   const auto start = std::chrono::steady_clock::now();
   const size_t group = queries.size();
+  if (k == 0) {
+    return std::vector<KnnResult>(group, EmptyKnnResult(db_.size()));
+  }
   std::vector<KnnResult> results(group);
   if (group == 0) return results;
-  if (k == 0) {
-    for (KnnResult& r : results) {
-      r.stats.db_size = db_.size();
-      r.stats.stages.FinalizeNotVisited(db_.size());
-    }
-    return results;
-  }
 
   std::vector<std::shared_ptr<QueryTrace>> traces(group);
   std::vector<int32_t> span_ids(group, -1);
@@ -144,39 +141,33 @@ std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
   for (size_t f = 0; f < group; ++f) {
     if (traces[f] != nullptr) traces[f]->End(span_ids[f]);
   }
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
+  const double filter_seconds = SecondsSince(start);
   for (size_t f = 0; f < group; ++f) {
-    results[f] =
-        RefineWithBounds(*queries[f], k, options, bounds[f],
-                         *mean_features[f], std::move(traces[f]),
-                         filter_seconds);
+    results[f] = RefineWithBounds(*queries[f], RefineTarget::Nearest(k),
+                                  options, bounds[f], *mean_features[f],
+                                  std::move(traces[f]), filter_seconds);
   }
   return results;
 }
 
 KnnResult CombinedKnnSearcher::RefineWithBounds(
-    const Trajectory& query, size_t k, const KnnOptions& options,
-    const std::vector<int>& bounds, const std::vector<Point2>& query_means,
+    const Trajectory& query, const RefineTarget& target,
+    const KnnOptions& options, const std::vector<int>& bounds,
+    const std::vector<Point2>& query_means,
     std::shared_ptr<QueryTrace> trace, double filter_seconds) const {
   const auto refine_start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
   const bool histogram_first = options_.order[0] == PruneStep::kHistogram &&
                                options_.sorted_histogram_scan;
   const EdrKernel kernel = DefaultEdrKernel();
   const unsigned slots = ResolveIntraQueryWorkers(options);
   std::vector<std::vector<std::pair<uint32_t, double>>> proc(slots);
   for (auto& p : proc) p.reserve(matrix_.num_refs());
-  std::vector<size_t> computed(slots, 0);
-  std::vector<StageCounters> slot_stages(slots);
+  RefineLedger ledger(options);
 
   const auto refine = [&](unsigned slot, uint32_t id, double best,
                           double* dist) {
     const Trajectory& s = db_[id];
-    StageCounters& st = slot_stages[slot];
+    StageCounters& st = ledger.stages(slot);
     st.Bump(&StageCounters::considered);
     std::vector<std::pair<uint32_t, double>>& proc_array = proc[slot];
     for (const PruneStep step : options_.order) {
@@ -225,8 +216,7 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
     const int bound = EdrBoundFromKthDistance(best);
     const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
                                          query, s, epsilon_, bound);
-    ++computed[slot];
-    st.CountDp(query.size(), s.size());
+    ledger.CountDp(slot, query.size(), s.size());
     if (id < matrix_.num_refs() && proc_array.size() < matrix_.num_refs()) {
       proc_array.emplace_back(id, static_cast<double>(d));
     }
@@ -240,6 +230,7 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
 
   TraceSpan refine_span(trace.get(), "refine");
   const TraceContext tc{trace.get(), refine_span.id()};
+  KnnResult out;
   if (histogram_first) {
     std::vector<StreamingOrder<int>::Entry> entries(db_.size());
     for (size_t i = 0; i < db_.size(); ++i) {
@@ -249,138 +240,18 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
     const auto stop = [](int key, double threshold) {
       return static_cast<double>(key) > threshold;
     };
-    out.neighbors = RefineInKeyOrder<int>(std::move(entries), k, options,
-                                          refine, stop, tc);
+    out.neighbors = RefineToTarget(target, [&](auto& sink) {
+      return RefineInKeyOrder<int>(std::move(entries), sink, options, refine,
+                                   stop, tc);
+    });
   } else {
-    out.neighbors = RefineInDbOrder(db_.size(), k, options, refine, tc);
-  }
-  refine_span.End();
-
-  const auto stop_time = std::chrono::steady_clock::now();
-  for (const size_t c : computed) out.stats.edr_computed += c;
-  for (const StageCounters& st : slot_stages) out.stats.stages.Add(st);
-  out.stats.stages.FinalizeNotVisited(db_.size());
-  out.stats.filter_seconds = filter_seconds;
-  out.stats.refine_seconds =
-      std::chrono::duration<double>(stop_time - refine_start).count();
-  out.stats.elapsed_seconds =
-      out.stats.filter_seconds + out.stats.refine_seconds;
-  out.trace = std::move(trace);
-  RecordQueryMetrics(out.stats);
-  return out;
-}
-
-KnnResult CombinedKnnSearcher::Range(const Trajectory& query, int radius,
-                                     size_t max_results) const {
-  const auto start = std::chrono::steady_clock::now();
-  const HistogramTable::QueryHistogram qh =
-      histograms_.MakeQueryHistogram(query);
-  std::vector<Point2> query_means = MeanValueQgrams(query, options_.q);
-  SortMeans(query_means);
-
-  const bool histogram_first =
-      options_.order[0] == PruneStep::kHistogram &&
-      options_.sorted_histogram_scan;
-  std::vector<int> bounds;
-  histograms_.FastLowerBoundSweep(qh, &bounds);
-  std::vector<uint32_t> order(db_.size());
-  std::iota(order.begin(), order.end(), 0);
-  if (histogram_first) {
-    std::sort(order.begin(), order.end(), [&bounds](uint32_t a, uint32_t b) {
-      return bounds[a] < bounds[b];
+    out.neighbors = RefineToTarget(target, [&](auto& sink) {
+      return RefineInDbOrder(db_.size(), sink, options, refine, tc);
     });
   }
-
-  const EdrKernel kernel = DefaultEdrKernel();
-  EdrScratch& scratch = ThreadLocalEdrScratch();
-  std::vector<std::pair<uint32_t, double>> proc_array;
-  proc_array.reserve(matrix_.num_refs());
-  KnnResult out;
-  size_t computed = 0;
-  StageCounters& stages = out.stats.stages;
-
-  for (const uint32_t id : order) {
-    const Trajectory& s = db_[id];
-    bool pruned = false;
-    bool stop_scan = false;
-    PruneStep pruned_by = PruneStep::kHistogram;
-    for (const PruneStep step : options_.order) {
-      switch (step) {
-        case PruneStep::kHistogram: {
-          const int fast = bounds[id];
-          if (fast > radius) {
-            pruned = true;
-            if (histogram_first) stop_scan = true;
-          }
-          break;
-        }
-        case PruneStep::kQgram: {
-          const long threshold = QgramCountThreshold(
-              query.size(), s.size(), options_.q, radius);
-          if (threshold <= 0) break;
-          if (!qgram_means_.CountMatches2DAtLeast(query_means, epsilon_, id,
-                                                  threshold)) {
-            pruned = true;
-          }
-          break;
-        }
-        case PruneStep::kNearTriangle: {
-          double max_prune_dist = 0.0;
-          for (const auto& [ref_id, ref_dist] : proc_array) {
-            const double bound = ref_dist - matrix_.at(ref_id, id) -
-                                 static_cast<double>(s.size());
-            max_prune_dist = std::max(max_prune_dist, bound);
-          }
-          if (max_prune_dist > static_cast<double>(radius)) pruned = true;
-          break;
-        }
-      }
-      if (pruned) {
-        pruned_by = step;
-        break;
-      }
-    }
-    // A stop_scan candidate is never visited — the hard stop fires before
-    // its filter chain is charged.
-    if (stop_scan) break;
-    stages.Bump(&StageCounters::considered);
-    if (pruned) {
-      switch (pruned_by) {
-        case PruneStep::kHistogram:
-          stages.Bump(&StageCounters::histogram_pruned);
-          break;
-        case PruneStep::kQgram:
-          stages.Bump(&StageCounters::qgram_pruned);
-          break;
-        case PruneStep::kNearTriangle:
-          stages.Bump(&StageCounters::triangle_pruned);
-          break;
-      }
-      continue;
-    }
-
-    const int dist =
-        EdrDistanceBoundedWith(kernel, scratch, query, s, epsilon_, radius);
-    ++computed;
-    stages.CountDp(query.size(), s.size());
-    if (id < matrix_.num_refs() && proc_array.size() < matrix_.num_refs()) {
-      proc_array.emplace_back(id, static_cast<double>(dist));
-    }
-    if (dist <= radius) {
-      out.neighbors.push_back({id, static_cast<double>(dist)});
-    } else {
-      stages.Bump(&StageCounters::dp_early_abandoned);
-    }
-  }
-
-  SortNeighborsAscending(&out.neighbors, max_results);
-  const auto stop = std::chrono::steady_clock::now();
-  out.stats.db_size = db_.size();
-  out.stats.edr_computed = computed;
-  stages.FinalizeNotVisited(db_.size());
-  out.stats.elapsed_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  RecordQueryMetrics(out.stats);
+  refine_span.End();
+  ledger.Finish(&out, db_.size(), filter_seconds, refine_start,
+                std::move(trace));
   return out;
 }
 

@@ -14,6 +14,8 @@
 
 namespace edr {
 
+struct RefineTarget;
+
 /// The three orthogonal pruning techniques of Section 4, combinable in any
 /// order (Section 4.4).
 enum class PruneStep {
@@ -92,13 +94,13 @@ class CombinedKnnSearcher {
     return histograms_.QueryBinSignature(query);
   }
 
-  /// Range query combining all three filters against the fixed `radius`
-  /// bound; with sorted histogram scanning the scan stops at the first
-  /// bound above the radius. Lossless. A nonzero `max_results` keeps only
-  /// that many nearest matches via partial selection instead of a full
-  /// sort of the result list.
-  KnnResult Range(const Trajectory& query, int radius,
-                  size_t max_results = 0) const;
+  /// Range query: every trajectory within `radius` of the query, ascending
+  /// by (distance, id). Runs the k-NN filter pass and refinement against
+  /// the fixed radius, in the same visit order: ascending histogram bound
+  /// with a stop at the first bound above the radius when the histogram
+  /// filter runs first, database order otherwise. Sequential (default
+  /// KnnOptions). Lossless.
+  KnnResult Range(const Trajectory& query, int radius) const;
 
   /// e.g. "2HPN", "1HPN", "2PNH" — histogram kind prefix plus the order.
   std::string name() const;
@@ -106,9 +108,16 @@ class CombinedKnnSearcher {
   const CombinedOptions& options() const { return options_; }
 
  private:
-  /// The per-query tail shared by Knn and KnnFused: the lazy filter chain
-  /// over precomputed histogram bounds, bounded refinement, stats/trace.
-  KnnResult RefineWithBounds(const Trajectory& query, size_t k,
+  /// The single-query filter pass (query features, one bound sweep)
+  /// followed by RefineWithBounds; Knn and Range both run it.
+  KnnResult Search(const Trajectory& query, const RefineTarget& target,
+                   const KnnOptions& options) const;
+
+  /// The per-query tail shared by Search and KnnFused: the lazy filter
+  /// chain over precomputed histogram bounds, bounded refinement towards
+  /// `target`, stats/trace.
+  KnnResult RefineWithBounds(const Trajectory& query,
+                             const RefineTarget& target,
                              const KnnOptions& options,
                              const std::vector<int>& bounds,
                              const std::vector<Point2>& query_means,

@@ -35,35 +35,25 @@ CseSearcher::CseSearcher(const TrajectoryDataset& db, double epsilon,
 
 KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
                            const KnnOptions& options) const {
+  if (k == 0) return EmptyKnnResult(db_.size());
   const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
   const EdrKernel kernel = DefaultEdrKernel();
   std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
   RecordSchedBudget(trace.get(), options);
 
-  // Per-slot reference arrays, as in NearTriangleSearcher::Knn: any
-  // computed reference distance is a valid prune input, so sharding them
-  // only changes how much is pruned, never what is returned.
+  // Per-slot reference arrays, as in NearTriangleSearcher: any computed
+  // reference distance is a valid prune input, so sharding them only
+  // changes how much is pruned, never what is returned.
   const unsigned slots = ResolveIntraQueryWorkers(options);
   std::vector<std::vector<std::pair<uint32_t, double>>> proc(slots);
   for (auto& p : proc) p.reserve(matrix_.num_refs());
-  std::vector<size_t> computed(slots, 0);
-  std::vector<StageCounters> slot_stages(slots);
   // Interleaved scan: phase split derived from the summed DP wall time,
-  // exactly as in NearTriangleSearcher::Knn.
-  struct alignas(64) SlotSeconds {
-    double v = 0.0;
-  };
-  std::vector<SlotSeconds> dp_seconds(slots);
+  // exactly as in NearTriangleSearcher.
+  RefineLedger ledger(options);
 
   const auto refine = [&](unsigned slot, uint32_t id, double threshold,
                           double* dist) {
-    StageCounters& st = slot_stages[slot];
+    StageCounters& st = ledger.stages(slot);
     st.Bump(&StageCounters::considered);
     std::vector<std::pair<uint32_t, double>>& proc_array = proc[slot];
     double max_prune_dist = 0.0;
@@ -78,19 +68,12 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
 
     // Bounded refinement; a lower-bound reference distance in proc_array
     // only weakens (never unsounds) the shifted triangle prune.
-    std::chrono::steady_clock::time_point dp_start;
-    if constexpr (kObsEnabled) dp_start = std::chrono::steady_clock::now();
     const int bound = EdrBoundFromKthDistance(threshold);
-    const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
-                                         query, db_[id], epsilon_, bound);
-    if constexpr (kObsEnabled) {
-      dp_seconds[slot].v +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        dp_start)
-              .count();
-    }
-    ++computed[slot];
-    st.CountDp(query.size(), db_[id].size());
+    const int d = ledger.TimeDp(slot, [&] {
+      return EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(), query,
+                                    db_[id], epsilon_, bound);
+    });
+    ledger.CountDp(slot, query.size(), db_[id].size());
     if (id < matrix_.num_refs() &&
         proc_array.size() < matrix_.num_refs()) {
       proc_array.emplace_back(id, static_cast<double>(d));
@@ -103,30 +86,12 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
     return true;
   };
   TraceSpan scan_span(trace.get(), "scan");
-  out.neighbors = RefineInDbOrder(db_.size(), k, options, refine,
+  SharedTopK topk(k);
+  KnnResult out;
+  out.neighbors = RefineInDbOrder(db_.size(), topk, options, refine,
                                   {trace.get(), scan_span.id()});
   scan_span.End();
-
-  const auto stop = std::chrono::steady_clock::now();
-  for (const size_t c : computed) out.stats.edr_computed += c;
-  for (const StageCounters& st : slot_stages) out.stats.stages.Add(st);
-  out.stats.stages.FinalizeNotVisited(db_.size());
-  out.stats.elapsed_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  if constexpr (kObsEnabled) {
-    double dp_total = 0.0;
-    for (const SlotSeconds& s : dp_seconds) dp_total += s.v;
-    if (trace != nullptr) {
-      trace->AddAggregate("dp", dp_total, out.stats.stages.dp_invoked);
-    }
-    out.stats.refine_seconds = std::min(dp_total, out.stats.elapsed_seconds);
-    out.stats.filter_seconds =
-        out.stats.elapsed_seconds - out.stats.refine_seconds;
-  } else {
-    out.stats.refine_seconds = out.stats.elapsed_seconds;
-  }
-  out.trace = std::move(trace);
-  RecordQueryMetrics(out.stats);
+  ledger.FinishInterleaved(&out, db_.size(), start, std::move(trace));
   return out;
 }
 

@@ -744,14 +744,24 @@ HistogramGrid HistogramGrid::For(const DatasetStats& stats, double bin_size) {
   return grid;
 }
 
+namespace {
+
+/// floor(offset) clamped to [0, bins - 1]. The clamp happens in the double
+/// domain: a finite coordinate far outside the grid (say 1e300) has a bin
+/// offset no int can hold, and casting it before clamping is undefined.
+int ClampedBin(double offset, int bins) {
+  return static_cast<int>(std::clamp(std::floor(offset), 0.0,
+                                     static_cast<double>(bins - 1)));
+}
+
+}  // namespace
+
 int HistogramGrid::BinX(double x) const {
-  const int b = static_cast<int>(std::floor((x - min_x) / bin_size));
-  return std::clamp(b, 0, nx - 1);
+  return ClampedBin((x - min_x) / bin_size, nx);
 }
 
 int HistogramGrid::BinY(double y) const {
-  const int b = static_cast<int>(std::floor((y - min_y) / bin_size));
-  return std::clamp(b, 0, ny - 1);
+  return ClampedBin((y - min_y) / bin_size, ny);
 }
 
 std::vector<int> BuildHistogram2D(const Trajectory& t,

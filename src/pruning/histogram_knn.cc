@@ -1,8 +1,6 @@
 #include "pruning/histogram_knn.h"
 
-#include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <vector>
 
 #include "distance/edr_kernel.h"
@@ -25,14 +23,19 @@ HistogramKnnSearcher::HistogramKnnSearcher(const TrajectoryDataset& db,
 
 KnnResult HistogramKnnSearcher::Knn(const Trajectory& query, size_t k,
                                     const KnnOptions& options) const {
-  const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
+  if (k == 0) return EmptyKnnResult(db_.size());
+  return Search(query, RefineTarget::Nearest(k), options);
+}
 
+KnnResult HistogramKnnSearcher::Range(const Trajectory& query,
+                                      int radius) const {
+  return Search(query, RefineTarget::Within(radius), KnnOptions{});
+}
+
+KnnResult HistogramKnnSearcher::Search(const Trajectory& query,
+                                       const RefineTarget& target,
+                                       const KnnOptions& options) const {
+  const auto start = std::chrono::steady_clock::now();
   std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
   RecordSchedBudget(trace.get(), options);
   TraceSpan sweep_span(trace.get(), "bound_sweep");
@@ -50,11 +53,8 @@ KnnResult HistogramKnnSearcher::Knn(const Trajectory& query, size_t k,
   std::vector<int> bounds;
   table_.FastLowerBoundSweepParallel(qh, &bounds, options);
   sweep_span.End();
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return RefineWithBounds(query, k, options, bounds, std::move(trace),
-                          filter_seconds);
+  return RefineWithBounds(query, target, options, bounds, std::move(trace),
+                          SecondsSince(start));
 }
 
 std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
@@ -62,15 +62,11 @@ std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
     const KnnOptions& options) const {
   const auto start = std::chrono::steady_clock::now();
   const size_t group = queries.size();
+  if (k == 0) {
+    return std::vector<KnnResult>(group, EmptyKnnResult(db_.size()));
+  }
   std::vector<KnnResult> results(group);
   if (group == 0) return results;
-  if (k == 0) {
-    for (KnnResult& r : results) {
-      r.stats.db_size = db_.size();
-      r.stats.stages.FinalizeNotVisited(db_.size());
-    }
-    return results;
-  }
 
   // Per-member features go through the same cache keys as the single-query
   // path; each member's trace records the shared database pass as a
@@ -96,33 +92,28 @@ std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
   for (size_t f = 0; f < group; ++f) {
     if (traces[f] != nullptr) traces[f]->End(span_ids[f]);
   }
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
+  const double filter_seconds = SecondsSince(start);
   for (size_t f = 0; f < group; ++f) {
-    results[f] = RefineWithBounds(*queries[f], k, options, bounds[f],
-                                  std::move(traces[f]), filter_seconds);
+    results[f] = RefineWithBounds(*queries[f], RefineTarget::Nearest(k),
+                                  options, bounds[f], std::move(traces[f]),
+                                  filter_seconds);
   }
   return results;
 }
 
 KnnResult HistogramKnnSearcher::RefineWithBounds(
-    const Trajectory& query, size_t k, const KnnOptions& options,
-    const std::vector<int>& bounds, std::shared_ptr<QueryTrace> trace,
-    double filter_seconds) const {
+    const Trajectory& query, const RefineTarget& target,
+    const KnnOptions& options, const std::vector<int>& bounds,
+    std::shared_ptr<QueryTrace> trace, double filter_seconds) const {
   const auto refine_start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
   const EdrKernel kernel = DefaultEdrKernel();
-  const unsigned slots = ResolveIntraQueryWorkers(options);
-  std::vector<size_t> computed(slots, 0);
-  std::vector<StageCounters> slot_stages(slots);
-  // Refines one candidate against the running k-th distance; true iff the
-  // bounded DP ran to an exact value (<= the bound it was given).
+  RefineLedger ledger(options);
+  // Refines one candidate against the threshold (the running k-th
+  // distance, or the radius); true iff the bounded DP ran to an exact
+  // value (<= the bound it was given).
   const auto refine = [&](unsigned slot, uint32_t id, double threshold,
                           double* dist) {
-    StageCounters& st = slot_stages[slot];
+    StageCounters& st = ledger.stages(slot);
     st.Bump(&StageCounters::considered);
     if (static_cast<double>(bounds[id]) > threshold) {
       st.Bump(&StageCounters::histogram_pruned);
@@ -131,8 +122,7 @@ KnnResult HistogramKnnSearcher::RefineWithBounds(
     const int bound = EdrBoundFromKthDistance(threshold);
     const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
                                          query, db_[id], epsilon_, bound);
-    ++computed[slot];
-    st.CountDp(query.size(), db_[id].size());
+    ledger.CountDp(slot, query.size(), db_[id].size());
     if (d > bound) {  // Abandoned: a lower bound, not exact.
       st.Bump(&StageCounters::dp_early_abandoned);
       return false;
@@ -143,13 +133,16 @@ KnnResult HistogramKnnSearcher::RefineWithBounds(
 
   TraceSpan refine_span(trace.get(), "refine");
   const TraceContext tc{trace.get(), refine_span.id()};
+  KnnResult out;
   if (scan_ == HistogramScan::kSequential) {
     // HSE: one pass in database order, filtering with the linear-time
     // transport bound.
-    out.neighbors = RefineInDbOrder(db_.size(), k, options, refine, tc);
+    out.neighbors = RefineToTarget(target, [&](auto& sink) {
+      return RefineInDbOrder(db_.size(), sink, options, refine, tc);
+    });
   } else {
     // HSR: visit candidates in ascending bound order; the scan stops
-    // outright once the bound exceeds the k-th distance — every later
+    // outright once the bound exceeds the threshold — every later
     // candidate has an even larger bound.
     std::vector<StreamingOrder<int>::Entry> entries(db_.size());
     for (size_t i = 0; i < db_.size(); ++i) {
@@ -158,22 +151,14 @@ KnnResult HistogramKnnSearcher::RefineWithBounds(
     const auto stop = [](int key, double threshold) {
       return static_cast<double>(key) > threshold;
     };
-    out.neighbors = RefineInKeyOrder<int>(std::move(entries), k, options,
-                                          refine, stop, tc);
+    out.neighbors = RefineToTarget(target, [&](auto& sink) {
+      return RefineInKeyOrder<int>(std::move(entries), sink, options, refine,
+                                   stop, tc);
+    });
   }
   refine_span.End();
-
-  const auto stop_time = std::chrono::steady_clock::now();
-  for (const size_t c : computed) out.stats.edr_computed += c;
-  for (const StageCounters& st : slot_stages) out.stats.stages.Add(st);
-  out.stats.stages.FinalizeNotVisited(db_.size());
-  out.trace = std::move(trace);
-  out.stats.filter_seconds = filter_seconds;
-  out.stats.refine_seconds =
-      std::chrono::duration<double>(stop_time - refine_start).count();
-  out.stats.elapsed_seconds =
-      out.stats.filter_seconds + out.stats.refine_seconds;
-  RecordQueryMetrics(out.stats);
+  ledger.Finish(&out, db_.size(), filter_seconds, refine_start,
+                std::move(trace));
   return out;
 }
 
@@ -185,46 +170,6 @@ std::string HistogramKnnSearcher::name() const {
     base = "2HE";
   }
   return (scan_ == HistogramScan::kSorted ? "HSR-" : "HSE-") + base;
-}
-
-
-KnnResult HistogramKnnSearcher::Range(const Trajectory& query,
-                                      int radius) const {
-  const auto start = std::chrono::steady_clock::now();
-  const HistogramTable::QueryHistogram qh = table_.MakeQueryHistogram(query);
-
-  const EdrKernel kernel = DefaultEdrKernel();
-  EdrScratch& scratch = ThreadLocalEdrScratch();
-  std::vector<int> bounds;
-  table_.FastLowerBoundSweep(qh, &bounds);
-  KnnResult out;
-  size_t computed = 0;
-  StageCounters& stages = out.stats.stages;
-  for (const Trajectory& s : db_) {
-    stages.Bump(&StageCounters::considered);
-    if (bounds[s.id()] > radius) {
-      stages.Bump(&StageCounters::histogram_pruned);
-      continue;
-    }
-    const int dist =
-        EdrDistanceBoundedWith(kernel, scratch, query, s, epsilon_, radius);
-    ++computed;
-    stages.CountDp(query.size(), s.size());
-    if (dist <= radius) {
-      out.neighbors.push_back({s.id(), static_cast<double>(dist)});
-    } else {
-      stages.Bump(&StageCounters::dp_early_abandoned);
-    }
-  }
-  SortNeighborsAscending(&out.neighbors);
-  const auto stop = std::chrono::steady_clock::now();
-  out.stats.db_size = db_.size();
-  out.stats.edr_computed = computed;
-  stages.FinalizeNotVisited(db_.size());
-  out.stats.elapsed_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  RecordQueryMetrics(out.stats);
-  return out;
 }
 
 }  // namespace edr

@@ -10,6 +10,8 @@
 
 namespace edr {
 
+struct RefineTarget;
+
 /// Scan orders for histogram pruning (Section 4.3):
 enum class HistogramScan {
   kSequential,  ///< "HSE": visit trajectories in database order.
@@ -57,18 +59,28 @@ class HistogramKnnSearcher {
     return table_.QueryBinSignature(query);
   }
 
-  /// Range query: prunes every candidate whose histogram lower bound
-  /// exceeds `radius`, computes EDR for the rest. Lossless.
+  /// Range query: every trajectory within `radius` of the query, ascending
+  /// by (distance, id). Runs the k-NN filter pass and refinement against
+  /// the fixed radius, in the same visit order: HSE in database order, HSR
+  /// in ascending-bound order stopping at the first bound above the
+  /// radius. Sequential (default KnnOptions). Lossless.
   KnnResult Range(const Trajectory& query, int radius) const;
 
   const HistogramTable& table() const { return table_; }
   std::string name() const;
 
  private:
-  /// The refinement phase shared by Knn and KnnFused: scans candidates
+  /// The single-query filter pass (one bound sweep) followed by
+  /// RefineWithBounds; Knn and Range both run it.
+  KnnResult Search(const Trajectory& query, const RefineTarget& target,
+                   const KnnOptions& options) const;
+
+  /// The refinement phase shared by Search and KnnFused: scans candidates
   /// against precomputed lower bounds (HSE database order or HSR sorted
-  /// order), fills in stats/trace, and records query metrics.
-  KnnResult RefineWithBounds(const Trajectory& query, size_t k,
+  /// order) towards `target`, fills in stats/trace, and records query
+  /// metrics.
+  KnnResult RefineWithBounds(const Trajectory& query,
+                             const RefineTarget& target,
                              const KnnOptions& options,
                              const std::vector<int>& bounds,
                              std::shared_ptr<QueryTrace> trace,

@@ -35,13 +35,8 @@ LcssKnnSearcher::LcssKnnSearcher(const TrajectoryDataset& db, double epsilon,
 
 KnnResult LcssKnnSearcher::Knn(const Trajectory& query, size_t k,
                                const KnnOptions& options) const {
+  if (k == 0) return EmptyKnnResult(db_.size());
   const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
   const size_t m = query.size();
   std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
   RecordSchedBudget(trace.get(), options);
@@ -94,11 +89,8 @@ KnnResult LcssKnnSearcher::Knn(const Trajectory& query, size_t k,
     }
   }
   sweep_span.End();
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return RefineWithBounds(query, k, options, bounds, query_means,
-                          std::move(trace), filter_seconds);
+                          std::move(trace), SecondsSince(start));
 }
 
 std::vector<KnnResult> LcssKnnSearcher::KnnFused(
@@ -106,15 +98,11 @@ std::vector<KnnResult> LcssKnnSearcher::KnnFused(
     const KnnOptions& options) const {
   const auto start = std::chrono::steady_clock::now();
   const size_t group = queries.size();
+  if (k == 0) {
+    return std::vector<KnnResult>(group, EmptyKnnResult(db_.size()));
+  }
   std::vector<KnnResult> results(group);
   if (group == 0) return results;
-  if (k == 0) {
-    for (KnnResult& r : results) {
-      r.stats.db_size = db_.size();
-      r.stats.stages.FinalizeNotVisited(db_.size());
-    }
-    return results;
-  }
   const bool use_histogram =
       filter_ == LcssFilter::kHistogram || filter_ == LcssFilter::kBoth;
   const bool use_qgram =
@@ -175,10 +163,7 @@ std::vector<KnnResult> LcssKnnSearcher::KnnFused(
   for (size_t f = 0; f < group; ++f) {
     if (traces[f] != nullptr) traces[f]->End(span_ids[f]);
   }
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
+  const double filter_seconds = SecondsSince(start);
   for (size_t f = 0; f < group; ++f) {
     results[f] =
         RefineWithBounds(*queries[f], k, options, bounds[f],
@@ -194,22 +179,18 @@ KnnResult LcssKnnSearcher::RefineWithBounds(
     const std::vector<Point2>& query_means, std::shared_ptr<QueryTrace> trace,
     double filter_seconds) const {
   const auto refine_start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
   const size_t m = query.size();
   const bool use_histogram =
       filter_ == LcssFilter::kHistogram || filter_ == LcssFilter::kBoth;
   const bool use_qgram =
       filter_ == LcssFilter::kQgram || filter_ == LcssFilter::kBoth;
-  const unsigned slots = ResolveIntraQueryWorkers(options);
-  std::vector<size_t> computed(slots, 0);
-  std::vector<StageCounters> slot_stages(slots);
+  RefineLedger ledger(options);
   // LcssDistance is always exact (no early abandoning), so refinement
   // never rejects a computed candidate.
   const auto refine = [&](unsigned slot, uint32_t id, double threshold,
                           double* dist) {
     const Trajectory& s = db_[id];
-    StageCounters& st = slot_stages[slot];
+    StageCounters& st = ledger.stages(slot);
     st.Bump(&StageCounters::considered);
     if (use_qgram) {
       const long count = static_cast<long>(
@@ -222,13 +203,14 @@ KnnResult LcssKnnSearcher::RefineWithBounds(
       }
     }
     *dist = LcssDistance(query, s, epsilon_);
-    ++computed[slot];
-    st.CountDp(query.size(), s.size());
+    ledger.CountDp(slot, query.size(), s.size());
     return true;
   };
 
   TraceSpan refine_span(trace.get(), "refine");
   const TraceContext tc{trace.get(), refine_span.id()};
+  SharedTopK topk(k);
+  KnnResult out;
   if (use_histogram) {
     std::vector<StreamingOrder<double>::Entry> entries(db_.size());
     for (size_t i = 0; i < db_.size(); ++i) {
@@ -238,24 +220,14 @@ KnnResult LcssKnnSearcher::RefineWithBounds(
     const auto stop = [](double key, double threshold) {
       return key > threshold;
     };
-    out.neighbors = RefineInKeyOrder<double>(std::move(entries), k, options,
-                                             refine, stop, tc);
+    out.neighbors = RefineInKeyOrder<double>(std::move(entries), topk,
+                                             options, refine, stop, tc);
   } else {
-    out.neighbors = RefineInDbOrder(db_.size(), k, options, refine, tc);
+    out.neighbors = RefineInDbOrder(db_.size(), topk, options, refine, tc);
   }
   refine_span.End();
-
-  const auto stop_time = std::chrono::steady_clock::now();
-  for (const size_t c : computed) out.stats.edr_computed += c;
-  for (const StageCounters& st : slot_stages) out.stats.stages.Add(st);
-  out.stats.stages.FinalizeNotVisited(db_.size());
-  out.stats.filter_seconds = filter_seconds;
-  out.stats.refine_seconds =
-      std::chrono::duration<double>(stop_time - refine_start).count();
-  out.stats.elapsed_seconds =
-      out.stats.filter_seconds + out.stats.refine_seconds;
-  out.trace = std::move(trace);
-  RecordQueryMetrics(out.stats);
+  ledger.Finish(&out, db_.size(), filter_seconds, refine_start,
+                std::move(trace));
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "distance/edr_kernel.h"
 #include "obs/trace.h"
@@ -92,13 +91,19 @@ NearTriangleSearcher::NearTriangleSearcher(const TrajectoryDataset& db,
 
 KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
                                     const KnnOptions& options) const {
+  if (k == 0) return EmptyKnnResult(db_.size());
+  return Search(query, RefineTarget::Nearest(k), options);
+}
+
+KnnResult NearTriangleSearcher::Range(const Trajectory& query,
+                                      int radius) const {
+  return Search(query, RefineTarget::Within(radius), KnnOptions{});
+}
+
+KnnResult NearTriangleSearcher::Search(const Trajectory& query,
+                                       const RefineTarget& target,
+                                       const KnnOptions& options) const {
   const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
   const EdrKernel kernel = DefaultEdrKernel();
   std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
   RecordSchedBudget(trace.get(), options);
@@ -115,21 +120,14 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
   const unsigned slots = ResolveIntraQueryWorkers(options);
   std::vector<std::vector<std::pair<uint32_t, double>>> proc(slots);
   for (auto& p : proc) p.reserve(matrix_.num_refs());
-  std::vector<size_t> computed(slots, 0);
-  std::vector<StageCounters> slot_stages(slots);
-  // Per-slot DP wall time. Filter and refinement interleave in this scan,
-  // so the phase split is derived here: refine = summed DP time, filter =
-  // the rest. One cache line per slot — the accumulator is written after
-  // every DP.
-  struct alignas(64) SlotSeconds {
-    double v = 0.0;
-  };
-  std::vector<SlotSeconds> dp_seconds(slots);
+  // Filter and refinement interleave in this scan, so the ledger derives
+  // the phase split from the per-slot DP wall time.
+  RefineLedger ledger(options);
 
   const auto refine = [&](unsigned slot, uint32_t id, double threshold,
                           double* dist) {
     const Trajectory& s = db_[id];
-    StageCounters& st = slot_stages[slot];
+    StageCounters& st = ledger.stages(slot);
     st.Bump(&StageCounters::considered);
     // Lower-bound EDR(Q, S) via every reference with a known distance
     // (Figure 4, lines 2-4).
@@ -145,19 +143,12 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
       return false;
     }
 
-    std::chrono::steady_clock::time_point dp_start;
-    if constexpr (kObsEnabled) dp_start = std::chrono::steady_clock::now();
     const int bound = EdrBoundFromKthDistance(threshold);
-    const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
-                                         query, s, epsilon_, bound);
-    if constexpr (kObsEnabled) {
-      dp_seconds[slot].v +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        dp_start)
-              .count();
-    }
-    ++computed[slot];
-    st.CountDp(query.size(), s.size());
+    const int d = ledger.TimeDp(slot, [&] {
+      return EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(), query,
+                                    s, epsilon_, bound);
+    });
+    ledger.CountDp(slot, query.size(), s.size());
     if (id < matrix_.num_refs() &&
         proc_array.size() < matrix_.num_refs()) {
       proc_array.emplace_back(id, static_cast<double>(d));
@@ -170,80 +161,13 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
     return true;
   };
   TraceSpan scan_span(trace.get(), "scan");
-  out.neighbors = RefineInDbOrder(db_.size(), k, options, refine,
-                                  {trace.get(), scan_span.id()});
-  scan_span.End();
-
-  const auto stop = std::chrono::steady_clock::now();
-  for (const size_t c : computed) out.stats.edr_computed += c;
-  for (const StageCounters& st : slot_stages) out.stats.stages.Add(st);
-  out.stats.stages.FinalizeNotVisited(db_.size());
-  out.stats.elapsed_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  if constexpr (kObsEnabled) {
-    double dp_total = 0.0;
-    for (const SlotSeconds& s : dp_seconds) dp_total += s.v;
-    if (trace != nullptr) {
-      trace->AddAggregate("dp", dp_total, out.stats.stages.dp_invoked);
-    }
-    out.stats.refine_seconds = std::min(dp_total, out.stats.elapsed_seconds);
-    out.stats.filter_seconds =
-        out.stats.elapsed_seconds - out.stats.refine_seconds;
-  } else {
-    out.stats.refine_seconds = out.stats.elapsed_seconds;
-  }
-  out.trace = std::move(trace);
-  RecordQueryMetrics(out.stats);
-  return out;
-}
-
-
-KnnResult NearTriangleSearcher::Range(const Trajectory& query,
-                                      int radius) const {
-  const auto start = std::chrono::steady_clock::now();
-  const EdrKernel kernel = DefaultEdrKernel();
-  EdrScratch& scratch = ThreadLocalEdrScratch();
-  std::vector<std::pair<uint32_t, double>> proc_array;
-  proc_array.reserve(matrix_.num_refs());
-
   KnnResult out;
-  size_t computed = 0;
-  StageCounters& stages = out.stats.stages;
-  for (const Trajectory& s : db_) {
-    stages.Bump(&StageCounters::considered);
-    double max_prune_dist = 0.0;
-    for (const auto& [ref_id, ref_dist] : proc_array) {
-      const double bound = ref_dist - matrix_.at(ref_id, s.id()) -
-                           static_cast<double>(s.size());
-      max_prune_dist = std::max(max_prune_dist, bound);
-    }
-    if (max_prune_dist > static_cast<double>(radius)) {
-      stages.Bump(&StageCounters::triangle_pruned);
-      continue;
-    }
-
-    const int dist =
-        EdrDistanceBoundedWith(kernel, scratch, query, s, epsilon_, radius);
-    ++computed;
-    stages.CountDp(query.size(), s.size());
-    if (s.id() < matrix_.num_refs() &&
-        proc_array.size() < matrix_.num_refs()) {
-      proc_array.emplace_back(s.id(), static_cast<double>(dist));
-    }
-    if (dist <= radius) {
-      out.neighbors.push_back({s.id(), static_cast<double>(dist)});
-    } else {
-      stages.Bump(&StageCounters::dp_early_abandoned);
-    }
-  }
-  SortNeighborsAscending(&out.neighbors);
-  const auto stop = std::chrono::steady_clock::now();
-  out.stats.db_size = db_.size();
-  out.stats.edr_computed = computed;
-  stages.FinalizeNotVisited(db_.size());
-  out.stats.elapsed_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  RecordQueryMetrics(out.stats);
+  out.neighbors = RefineToTarget(target, [&](auto& sink) {
+    return RefineInDbOrder(db_.size(), sink, options, refine,
+                           {trace.get(), scan_span.id()});
+  });
+  scan_span.End();
+  ledger.FinishInterleaved(&out, db_.size(), start, std::move(trace));
   return out;
 }
 

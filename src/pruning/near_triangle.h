@@ -10,6 +10,8 @@
 
 namespace edr {
 
+struct RefineTarget;
+
 /// Precomputed EDR distances between a prefix of the database (the
 /// candidate reference trajectories) and every database trajectory.
 ///
@@ -82,14 +84,21 @@ class NearTriangleSearcher {
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
 
-  /// Range query: prunes candidates whose reference-based lower bound
-  /// exceeds `radius`. Lossless.
+  /// Range query: every trajectory within `radius` of the query, ascending
+  /// by (distance, id). The k-NN scan against the fixed radius, in
+  /// database order: prunes candidates whose reference-based lower bound
+  /// exceeds `radius`. Sequential (default KnnOptions). Lossless.
   KnnResult Range(const Trajectory& query, int radius) const;
 
   const PairwiseEdrMatrix& matrix() const { return matrix_; }
   std::string name() const { return "NTR"; }
 
  private:
+  /// The database-order filter-and-refine scan towards `target`; Knn and
+  /// Range both run it.
+  KnnResult Search(const Trajectory& query, const RefineTarget& target,
+                   const KnnOptions& options) const;
+
   const TrajectoryDataset& db_;
   double epsilon_;
   PairwiseEdrMatrix matrix_;

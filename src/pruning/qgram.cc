@@ -19,24 +19,25 @@
 
 namespace edr {
 
+// Each window is summed afresh instead of by a sliding sum. q is small
+// (1..4 in the paper), so this costs next to nothing, while a sliding sum
+// keeps the rounding error of every coordinate it ever held: after a
+// far-out point (say 1e20) passes through, the running sum has lost every
+// small coordinate's low digits, every later mean is off, and the count
+// filter dismisses true matches.
 std::vector<Point2> MeanValueQgrams(const Trajectory& t, int q) {
   std::vector<Point2> means;
   if (q <= 0 || t.size() < static_cast<size_t>(q)) return means;
-  means.reserve(t.size() - static_cast<size_t>(q) + 1);
-
-  // Sliding-window sum; q is small (1..4 in the paper) so numerical drift
-  // is negligible, but we recompute exactly to keep results deterministic.
-  double sum_x = 0.0;
-  double sum_y = 0.0;
-  for (int i = 0; i < q; ++i) {
-    sum_x += t[static_cast<size_t>(i)].x;
-    sum_y += t[static_cast<size_t>(i)].y;
-  }
+  const size_t window = static_cast<size_t>(q);
+  means.reserve(t.size() - window + 1);
   const double inv_q = 1.0 / static_cast<double>(q);
-  means.push_back({sum_x * inv_q, sum_y * inv_q});
-  for (size_t i = static_cast<size_t>(q); i < t.size(); ++i) {
-    sum_x += t[i].x - t[i - static_cast<size_t>(q)].x;
-    sum_y += t[i].y - t[i - static_cast<size_t>(q)].y;
+  for (size_t i = 0; i + window <= t.size(); ++i) {
+    double sum_x = 0.0;
+    double sum_y = 0.0;
+    for (size_t j = i; j < i + window; ++j) {
+      sum_x += t[j].x;
+      sum_y += t[j].y;
+    }
     means.push_back({sum_x * inv_q, sum_y * inv_q});
   }
   return means;
@@ -45,18 +46,12 @@ std::vector<Point2> MeanValueQgrams(const Trajectory& t, int q) {
 std::vector<double> MeanValueQgrams1D(const Trajectory& t, int q, bool use_x) {
   std::vector<double> means;
   if (q <= 0 || t.size() < static_cast<size_t>(q)) return means;
-  means.reserve(t.size() - static_cast<size_t>(q) + 1);
-  double sum = 0.0;
-  for (int i = 0; i < q; ++i) {
-    const Point2& p = t[static_cast<size_t>(i)];
-    sum += use_x ? p.x : p.y;
-  }
+  const size_t window = static_cast<size_t>(q);
+  means.reserve(t.size() - window + 1);
   const double inv_q = 1.0 / static_cast<double>(q);
-  means.push_back(sum * inv_q);
-  for (size_t i = static_cast<size_t>(q); i < t.size(); ++i) {
-    const Point2& in = t[i];
-    const Point2& out = t[i - static_cast<size_t>(q)];
-    sum += (use_x ? in.x : in.y) - (use_x ? out.x : out.y);
+  for (size_t i = 0; i + window <= t.size(); ++i) {
+    double sum = 0.0;
+    for (size_t j = i; j < i + window; ++j) sum += use_x ? t[j].x : t[j].y;
     means.push_back(sum * inv_q);
   }
   return means;

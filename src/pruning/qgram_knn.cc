@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 
 #include "core/cpu.h"
 #include "distance/edr_kernel.h"
@@ -151,42 +150,39 @@ std::vector<size_t> QgramKnnSearcher::MatchCounts(
 
 KnnResult QgramKnnSearcher::Knn(const Trajectory& query, size_t k,
                                 const KnnOptions& options) const {
-  const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    // Nothing can be returned; skip the scan (and the -inf bestSoFar the
-    // threshold arithmetic below cannot represent).
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
+  // k = 0 returns nothing; skip the scan (and the -inf bestSoFar the
+  // threshold arithmetic cannot represent).
+  if (k == 0) return EmptyKnnResult(db_.size());
+  return Search(query, RefineTarget::Nearest(k), options);
+}
 
+KnnResult QgramKnnSearcher::Range(const Trajectory& query, int radius) const {
+  return Search(query, RefineTarget::Within(radius), KnnOptions{});
+}
+
+KnnResult QgramKnnSearcher::Search(const Trajectory& query,
+                                   const RefineTarget& target,
+                                   const KnnOptions& options) const {
+  const auto start = std::chrono::steady_clock::now();
   std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
   RecordSchedBudget(trace.get(), options);
   TraceSpan filter_span(trace.get(), "match_count");
   const std::vector<size_t> counts = MatchCounts(query, options);
   filter_span.End();
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return RefineWithCounts(query, k, options, counts, std::move(trace),
-                          filter_seconds);
+  return RefineWithCounts(query, target, options, counts, std::move(trace),
+                          SecondsSince(start));
 }
 
 std::vector<KnnResult> QgramKnnSearcher::KnnFused(
     const std::vector<const Trajectory*>& queries, size_t k,
     const KnnOptions& options) const {
   const size_t group = queries.size();
+  if (k == 0) {
+    return std::vector<KnnResult>(group, EmptyKnnResult(db_.size()));
+  }
   std::vector<KnnResult> results(group);
   if (group == 0) return results;
   const auto start = std::chrono::steady_clock::now();
-  if (k == 0) {
-    for (KnnResult& r : results) {
-      r.stats.db_size = db_.size();
-      r.stats.stages.FinalizeNotVisited(db_.size());
-    }
-    return results;
-  }
 
   std::vector<std::shared_ptr<QueryTrace>> traces(group);
   std::vector<int32_t> span_ids(group, -1);
@@ -334,24 +330,20 @@ std::vector<KnnResult> QgramKnnSearcher::KnnFused(
   for (size_t f = 0; f < group; ++f) {
     if (traces[f] != nullptr) traces[f]->End(span_ids[f]);
   }
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
+  const double filter_seconds = SecondsSince(start);
   for (size_t f = 0; f < group; ++f) {
-    results[f] = RefineWithCounts(*queries[f], k, options, counts[f],
-                                  std::move(traces[f]), filter_seconds);
+    results[f] = RefineWithCounts(*queries[f], RefineTarget::Nearest(k),
+                                  options, counts[f], std::move(traces[f]),
+                                  filter_seconds);
   }
   return results;
 }
 
 KnnResult QgramKnnSearcher::RefineWithCounts(
-    const Trajectory& query, size_t k, const KnnOptions& options,
-    const std::vector<size_t>& counts, std::shared_ptr<QueryTrace> trace,
-    double filter_seconds) const {
+    const Trajectory& query, const RefineTarget& target,
+    const KnnOptions& options, const std::vector<size_t>& counts,
+    std::shared_ptr<QueryTrace> trace, double filter_seconds) const {
   const auto refine_entry = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
   TraceSpan order_span(trace.get(), "order_build");
   // Canonical visit order: descending count, ties by ascending id —
   // drained lazily so only the prefix the scan actually visits is ordered.
@@ -367,18 +359,16 @@ KnnResult QgramKnnSearcher::RefineWithCounts(
 
   const EdrKernel kernel = DefaultEdrKernel();
   const long query_len = static_cast<long>(query.size());
-  const unsigned slots = ResolveIntraQueryWorkers(options);
-  std::vector<size_t> computed(slots, 0);
-  std::vector<StageCounters> slot_stages(slots);
+  RefineLedger ledger(options);
 
   const auto refine = [&](unsigned slot, uint32_t id, double threshold,
                           double* dist) {
     const Trajectory& s = db_[id];
-    StageCounters& st = slot_stages[slot];
+    StageCounters& st = ledger.stages(slot);
     st.Bump(&StageCounters::considered);
     if (!std::isinf(threshold)) {
-      // Theorem 3: fewer matching grams than the per-candidate threshold
-      // means EDR(Q, S) > bestSoFar.
+      // Theorems 1 and 3: fewer matching grams than the per-candidate
+      // threshold means EDR(Q, S) > threshold (bestSoFar or the radius).
       const long th = QgramCountThreshold(query.size(), s.size(), q_,
                                           static_cast<long>(threshold));
       if (static_cast<long>(counts[id]) < th) {
@@ -386,14 +376,13 @@ KnnResult QgramKnnSearcher::RefineWithCounts(
         return false;
       }
     }
-    // Refinement with the running k-th distance as an early-abandon bound:
-    // exact when the candidate could enter the result, otherwise some
-    // lower bound > bestSoFar that the selection rejects just the same.
+    // Refinement with the threshold as an early-abandon bound: exact when
+    // the candidate could enter the result, otherwise some lower bound
+    // > threshold that the result rejects just the same.
     const int bound = EdrBoundFromKthDistance(threshold);
     const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
                                          query, s, epsilon_, bound);
-    ++computed[slot];
-    st.CountDp(query.size(), s.size());
+    ledger.CountDp(slot, query.size(), s.size());
     if (d > bound) {
       st.Bump(&StageCounters::dp_early_abandoned);
       return false;
@@ -413,22 +402,15 @@ KnnResult QgramKnnSearcher::RefineWithCounts(
     return -key < universal_threshold;
   };
   TraceSpan refine_span(trace.get(), "refine");
-  out.neighbors = RefineInKeyOrder<long>(std::move(entries), k, options,
-                                         refine, stop,
-                                         {trace.get(), refine_span.id()});
+  const TraceContext tc{trace.get(), refine_span.id()};
+  KnnResult out;
+  out.neighbors = RefineToTarget(target, [&](auto& sink) {
+    return RefineInKeyOrder<long>(std::move(entries), sink, options, refine,
+                                  stop, tc);
+  });
   refine_span.End();
-
-  const auto stop_time = std::chrono::steady_clock::now();
-  for (const size_t c : computed) out.stats.edr_computed += c;
-  for (const StageCounters& st : slot_stages) out.stats.stages.Add(st);
-  out.stats.stages.FinalizeNotVisited(db_.size());
-  out.stats.filter_seconds = filter_seconds;
-  out.stats.refine_seconds =
-      std::chrono::duration<double>(stop_time - order_done).count();
-  out.stats.elapsed_seconds =
-      out.stats.filter_seconds + out.stats.refine_seconds;
-  out.trace = std::move(trace);
-  RecordQueryMetrics(out.stats);
+  ledger.Finish(&out, db_.size(), filter_seconds, order_done,
+                std::move(trace));
   return out;
 }
 
@@ -462,48 +444,6 @@ uint64_t QgramKnnSearcher::FusionFingerprint(const Trajectory& query) const {
     }
   }
   return sig;
-}
-
-
-KnnResult QgramKnnSearcher::Range(const Trajectory& query, int radius,
-                                  size_t max_results) const {
-  const auto start = std::chrono::steady_clock::now();
-  const std::vector<size_t> counts = MatchCounts(query);
-  const EdrKernel kernel = DefaultEdrKernel();
-  EdrScratch& scratch = ThreadLocalEdrScratch();
-
-  KnnResult out;
-  size_t computed = 0;
-  StageCounters& stages = out.stats.stages;
-  for (uint32_t id = 0; id < db_.size(); ++id) {
-    const Trajectory& s = db_[id];
-    stages.Bump(&StageCounters::considered);
-    const long threshold =
-        QgramCountThreshold(query.size(), s.size(), q_, radius);
-    if (static_cast<long>(counts[id]) < threshold) {  // Theorem 1.
-      stages.Bump(&StageCounters::qgram_pruned);
-      continue;
-    }
-    // Exact whenever dist <= radius (the only candidates reported).
-    const int dist =
-        EdrDistanceBoundedWith(kernel, scratch, query, s, epsilon_, radius);
-    ++computed;
-    stages.CountDp(query.size(), s.size());
-    if (dist <= radius) {
-      out.neighbors.push_back({id, static_cast<double>(dist)});
-    } else {
-      stages.Bump(&StageCounters::dp_early_abandoned);
-    }
-  }
-  SortNeighborsAscending(&out.neighbors, max_results);
-  const auto stop = std::chrono::steady_clock::now();
-  out.stats.db_size = db_.size();
-  out.stats.edr_computed = computed;
-  stages.FinalizeNotVisited(db_.size());
-  out.stats.elapsed_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  RecordQueryMetrics(out.stats);
-  return out;
 }
 
 }  // namespace edr

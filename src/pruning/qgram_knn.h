@@ -14,6 +14,8 @@
 
 namespace edr {
 
+struct RefineTarget;
+
 /// The four implementations of mean-value Q-gram pruning compared in
 /// Figures 7 and 8 of the paper.
 enum class QgramVariant {
@@ -80,13 +82,12 @@ class QgramKnnSearcher {
   uint64_t FusionFingerprint(const Trajectory& query) const;
 
   /// Answers a range query (all S with EDR(query, S) <= radius, ascending
-  /// distance order) using the Theorem 1 count filter in its original
+  /// by (distance, id)) using the Theorem 1 count filter in its original
   /// range form: S is pruned when its matching-gram count falls below
-  /// max(|Q|, |S|) - q + 1 - radius * q. Lossless. A nonzero `max_results`
-  /// keeps only that many nearest matches, selected with partial selection
-  /// instead of a full sort of the result list.
-  KnnResult Range(const Trajectory& query, int radius,
-                  size_t max_results = 0) const;
+  /// max(|Q|, |S|) - q + 1 - radius * q. Runs the k-NN counting pass and
+  /// refinement against the fixed radius, in the same descending-count
+  /// order with the same stop. Sequential (default KnnOptions). Lossless.
+  KnnResult Range(const Trajectory& query, int radius) const;
 
   /// Per-trajectory matching-gram counts for a query; exposed for tests
   /// and for the combined searcher. The merge-join variants (PS1/PS2)
@@ -100,10 +101,16 @@ class QgramKnnSearcher {
   std::string name() const;
 
  private:
-  /// Everything after the counting pass, shared by Knn and KnnFused:
-  /// descending-count ordering, Theorem-3 pruning, bounded refinement,
-  /// stats/trace fill-in.
-  KnnResult RefineWithCounts(const Trajectory& query, size_t k,
+  /// The single-query counting pass followed by RefineWithCounts; Knn and
+  /// Range both run it.
+  KnnResult Search(const Trajectory& query, const RefineTarget& target,
+                   const KnnOptions& options) const;
+
+  /// Everything after the counting pass, shared by Search and KnnFused:
+  /// descending-count ordering, Theorem-3 pruning, bounded refinement
+  /// towards `target`, stats/trace fill-in.
+  KnnResult RefineWithCounts(const Trajectory& query,
+                             const RefineTarget& target,
                              const KnnOptions& options,
                              const std::vector<size_t>& counts,
                              std::shared_ptr<QueryTrace> trace,

@@ -21,8 +21,9 @@ ThreadPool& ResolvePool(ThreadPool* pool) {
   return pool != nullptr ? *pool : ThreadPool::Global();
 }
 
-/// Same accounting ParallelKnn keeps for the legacy batch path, so a
-/// scrape shows how adaptive batches executed.
+/// Process-wide batch accounting: how many batches ran, how many queries
+/// they carried, and the whole-batch wall-time distribution (the outer
+/// timer per-query elapsed_seconds cannot replace under concurrency).
 void RecordScheduledBatchMetrics(const SchedulerStats& stats,
                                  double seconds) {
   if constexpr (kObsEnabled) {

@@ -28,20 +28,12 @@ std::vector<Neighbor> BoundedTopK::TakeSortedNeighbors() && {
   return out;
 }
 
-void SortNeighborsAscending(std::vector<Neighbor>* neighbors,
-                            size_t max_results) {
-  const auto less = [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.id < b.id;
-  };
-  if (max_results > 0 && max_results < neighbors->size()) {
-    std::nth_element(
-        neighbors->begin(),
-        neighbors->begin() + static_cast<ptrdiff_t>(max_results),
-        neighbors->end(), less);
-    neighbors->resize(max_results);
-  }
-  std::sort(neighbors->begin(), neighbors->end(), less);
+void SortNeighborsAscending(std::vector<Neighbor>* neighbors) {
+  std::sort(neighbors->begin(), neighbors->end(),
+            [](const Neighbor& a, const Neighbor& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return a.id < b.id;
+            });
 }
 
 }  // namespace edr

@@ -187,11 +187,49 @@ class SharedTopK {
 };
 
 /// Sorts neighbors ascending by (distance, id) — the order every range
-/// query reports. When `max_results` is nonzero and smaller than the list,
-/// only the `max_results` best survive, selected with nth_element +
-/// partial sort (O(n + k log k)) instead of a full O(n log n) sort.
-void SortNeighborsAscending(std::vector<Neighbor>* neighbors,
-                            size_t max_results = 0);
+/// query reports.
+void SortNeighborsAscending(std::vector<Neighbor>* neighbors);
+
+/// The range-query counterpart of SharedTopK, for the same refine drivers:
+/// the threshold is the fixed radius and every offer is kept. Only exact
+/// distances within the radius are offered (a refinement bounded by the
+/// radius abandons everything beyond it), so the kept set is the range
+/// answer whatever the schedule, and draining sorts it by (distance, id).
+class RadiusSink {
+ public:
+  explicit RadiusSink(int radius) : radius_(static_cast<double>(radius)) {}
+
+  double Threshold() const { return radius_; }
+
+  void Offer(uint32_t id, double distance, size_t /*order*/) {
+    std::lock_guard<std::mutex> lock(mu_);
+    neighbors_.push_back({id, distance});
+  }
+
+  /// Call once every worker has finished offering.
+  std::vector<Neighbor> TakeSortedNeighbors() && {
+    SortNeighborsAscending(&neighbors_);
+    return std::move(neighbors_);
+  }
+
+ private:
+  const double radius_;
+  std::mutex mu_;
+  std::vector<Neighbor> neighbors_;  // guarded by mu_
+};
+
+/// What one refine pass selects: the k nearest candidates (a k-NN query,
+/// through SharedTopK) or every candidate within a fixed radius (a range
+/// query, through RadiusSink). The two differ only in the threshold the
+/// filters prune against — the running k-th distance or the radius.
+struct RefineTarget {
+  bool range = false;
+  size_t k = 0;
+  int radius = 0;
+
+  static RefineTarget Nearest(size_t k) { return {false, k, 0}; }
+  static RefineTarget Within(int radius) { return {true, 0, radius}; }
+};
 
 }  // namespace edr
 

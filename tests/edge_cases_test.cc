@@ -1,5 +1,6 @@
 // Degenerate-input robustness across the stack: empty databases, empty
-// queries, k = 0, single-element trajectories, and duplicate-heavy data.
+// queries, k = 0, single-element trajectories, duplicate-heavy data and
+// coordinates far outside the data's range.
 
 #include <gtest/gtest.h>
 
@@ -51,6 +52,45 @@ TEST(EdgeCaseTest, KZeroReturnsNothing) {
   CombinedOptions combo;
   combo.max_triangle = 3;
   EXPECT_TRUE(engine.Combined(combo).Knn(db[0], 0).neighbors.empty());
+}
+
+// Finite query coordinates whose histogram bin offset no int can hold
+// (1e300 over a bin of ~0.25) land in the edge bins, so the histogram
+// bound stays sound: HSR and 2HPN k-NN and 2HPN / HSR Range all return the
+// sequential-scan answer.
+TEST(EdgeCaseTest, FarOutOfRangeQueryCoordinatesStayLossless) {
+  const TrajectoryDataset db = testutil::SmallDataset(7010, 40, 5, 30);
+  QueryEngine engine(db, kEps);
+  const HistogramKnnSearcher& hsr = engine.Histogram(
+      HistogramTable::Kind::k2D, 1, HistogramScan::kSorted);
+  CombinedOptions combo;
+  combo.max_triangle = 10;
+  const CombinedKnnSearcher& combined = engine.Combined(combo);
+
+  std::vector<Trajectory> queries;
+  queries.push_back(Trajectory({{1e300, -1e300}, {-1e300, 1e300}}));
+  queries.push_back(Trajectory({{1e20, 1e20}, {-1e20, 0.5}, {0.5, -1e20}}));
+  // A database trajectory with far-out points spliced in.
+  Trajectory mixed = db[3];
+  mixed.Append(1e300, 1e300);
+  mixed.mutable_points().insert(mixed.mutable_points().begin(),
+                                Point2{-1e20, 1e300});
+  queries.push_back(mixed);
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Trajectory& query = queries[i];
+    const KnnResult truth = engine.SeqScan(query, 5);
+    EXPECT_TRUE(SameKnnDistances(truth, hsr.Knn(query, 5))) << "query " << i;
+    EXPECT_TRUE(SameKnnDistances(truth, combined.Knn(query, 5)))
+        << "query " << i;
+    for (const int radius : {0, 4, 40}) {
+      const KnnResult expected = SequentialScanRange(db, query, radius, kEps);
+      EXPECT_TRUE(SameKnnDistances(expected, combined.Range(query, radius)))
+          << "query " << i << " radius " << radius;
+      EXPECT_TRUE(SameKnnDistances(expected, hsr.Range(query, radius)))
+          << "query " << i << " radius " << radius;
+    }
+  }
 }
 
 TEST(EdgeCaseTest, SingleElementTrajectories) {

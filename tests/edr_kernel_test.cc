@@ -11,8 +11,8 @@
 #include "distance/distance3.h"
 #include "distance/edr.h"
 #include "pruning/combined.h"
+#include "query/engine.h"
 #include "query/knn.h"
-#include "query/parallel.h"
 #include "test_util.h"
 
 namespace edr {
@@ -223,20 +223,21 @@ TEST(EdrKernelTest, CombinedSearcherLosslessUnderBothKernels) {
   }
 }
 
-// ParallelKnn workers each use their own thread-local scratch; results
-// must match the single-threaded scan exactly.
+// A parallel k-NN batch (QueryEngine::KnnBatch on the pool) runs each
+// query on a worker with its own thread-local scratch; results must match
+// the single-threaded scan exactly.
 TEST(EdrKernelTest, ParallelKnnMatchesSequentialWithThreadLocalScratch) {
   KernelGuard guard;
   SetDefaultEdrKernel(EdrKernel::kBitParallel);
   const TrajectoryDataset db = testutil::SmallDataset(31, 40);
   const std::vector<Trajectory> queries = testutil::MakeQueries(db, 32, 6);
 
-  const auto search = [&db](const Trajectory& q, size_t k) {
-    return SequentialScanKnn(db, q, k, 0.25);
-  };
-  const std::vector<KnnResult> parallel = ParallelKnn(search, queries, 5, 4);
+  const QueryEngine engine(db, 0.25);
+  const std::vector<KnnResult> parallel =
+      engine.KnnBatch(engine.MakeSeqScan(), queries, 5, 4);
+  ASSERT_EQ(parallel.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    const KnnResult seq = search(queries[i], 5);
+    const KnnResult seq = SequentialScanKnn(db, queries[i], 5, 0.25);
     EXPECT_TRUE(SameKnnDistances(seq, parallel[i])) << "query " << i;
   }
 }

@@ -10,8 +10,10 @@
 #include "pruning/lcss_knn.h"
 #include "pruning/near_triangle.h"
 #include "pruning/qgram_knn.h"
+#include "query/intra_query.h"
 #include "query/knn.h"
 #include "query/thread_pool.h"
+#include "query/topk.h"
 #include "test_util.h"
 
 namespace edr {
@@ -163,6 +165,58 @@ TEST(IntraQueryTest, ParallelResultsAreLossless) {
     EXPECT_TRUE(SameKnnDistances(truth, ps2.Knn(query, 10, options)));
     EXPECT_TRUE(SameKnnDistances(truth, hsr.Knn(query, 10, options)));
     EXPECT_TRUE(SameKnnDistances(truth, ntr.Knn(query, 10, options)));
+  }
+}
+
+// Both refine drivers with the range sink, over a synthetic filter-and-
+// refine: candidate i has distance Dist(i) and lower bound Dist(i) / 2,
+// and "refining" past the threshold abandons. Every worker count must
+// return exactly the candidates within the radius, sorted by
+// (distance, id) — the sink's only cover under concurrency.
+TEST(IntraQueryTest, RadiusSinkDriversIdenticalAcrossWorkers) {
+  constexpr size_t kCandidates = 3000;
+  const auto dist_of = [](uint32_t id) {
+    return static_cast<int>((id * 2654435761u) % 97u);
+  };
+  const auto process = [&](unsigned, uint32_t id, double threshold,
+                           double* dist) {
+    const int d = dist_of(id);
+    if (static_cast<double>(d) > threshold) return false;
+    *dist = static_cast<double>(d);
+    return true;
+  };
+  const auto stop = [](int key, double threshold) {
+    return static_cast<double>(key) > threshold;
+  };
+
+  for (const int radius : {-1, 0, 20, 96}) {
+    std::vector<Neighbor> expected;
+    for (uint32_t id = 0; id < kCandidates; ++id) {
+      if (dist_of(id) <= radius) {
+        expected.push_back({id, static_cast<double>(dist_of(id))});
+      }
+    }
+    SortNeighborsAscending(&expected);
+    for (const unsigned workers : {1u, 3u, 8u}) {
+      KnnOptions options;
+      options.intra_query_workers = workers;
+      options.pool = &Pool();
+
+      RadiusSink db_sink(radius);
+      EXPECT_EQ(RefineInDbOrder(kCandidates, db_sink, options, process),
+                expected)
+          << "db order, radius=" << radius << " workers=" << workers;
+
+      std::vector<StreamingOrder<int>::Entry> entries(kCandidates);
+      for (uint32_t id = 0; id < kCandidates; ++id) {
+        entries[id] = {dist_of(id) / 2, id};
+      }
+      RadiusSink key_sink(radius);
+      EXPECT_EQ(RefineInKeyOrder<int>(std::move(entries), key_sink, options,
+                                      process, stop),
+                expected)
+          << "key order, radius=" << radius << " workers=" << workers;
+    }
   }
 }
 

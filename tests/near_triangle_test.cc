@@ -40,6 +40,26 @@ TEST(PairwiseEdrMatrixTest, RefCountClampedToDbSize) {
   EXPECT_EQ(m.num_refs(), 6u);
 }
 
+TEST(ParallelMatrixBuildTest, IdenticalToSequentialBuild) {
+  const TrajectoryDataset db = testutil::SmallDataset(706, 40, 5, 40);
+  const PairwiseEdrMatrix sequential =
+      PairwiseEdrMatrix::Build(db, kEps, 15);
+  const PairwiseEdrMatrix parallel =
+      PairwiseEdrMatrix::BuildParallel(db, kEps, 15, 4);
+  ASSERT_EQ(parallel.num_refs(), sequential.num_refs());
+  ASSERT_EQ(parallel.db_size(), sequential.db_size());
+  EXPECT_EQ(parallel.data(), sequential.data());
+}
+
+TEST(ParallelMatrixBuildTest, HandlesDegenerateSizes) {
+  const TrajectoryDataset db = testutil::SmallDataset(707, 3);
+  const PairwiseEdrMatrix m = PairwiseEdrMatrix::BuildParallel(db, kEps, 0);
+  EXPECT_EQ(m.num_refs(), 0u);
+  const PairwiseEdrMatrix m2 =
+      PairwiseEdrMatrix::BuildParallel(db, kEps, 100, 16);
+  EXPECT_EQ(m2.num_refs(), 3u);
+}
+
 class NearTriangleLosslessTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(NearTriangleLosslessTest, MatchesSequentialScan) {

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "pruning/combined.h"
 #include "pruning/histogram_knn.h"
 #include "pruning/near_triangle.h"
@@ -55,7 +60,9 @@ TEST_P(RangeLosslessTest, AllSearchersMatchSequentialScan) {
   const TrajectoryDataset db = testutil::SmallDataset(203, 80, 8, 60);
 
   const QgramKnnSearcher qgram_ps2(db, kEps, 1, QgramVariant::kMerge2D);
+  const QgramKnnSearcher qgram_ps1(db, kEps, 1, QgramVariant::kMerge1D);
   const QgramKnnSearcher qgram_pr(db, kEps, 2, QgramVariant::kRtree2D);
+  const QgramKnnSearcher qgram_pb(db, kEps, 2, QgramVariant::kBtree1D);
   const HistogramKnnSearcher hist2d(db, kEps, HistogramTable::Kind::k2D, 1,
                                     HistogramScan::kSorted);
   const HistogramKnnSearcher hist1d(db, kEps, HistogramTable::Kind::k1D, 1,
@@ -64,30 +71,48 @@ TEST_P(RangeLosslessTest, AllSearchersMatchSequentialScan) {
   CombinedOptions combo;
   combo.max_triangle = 20;
   const CombinedKnnSearcher combined(db, kEps, combo);
+  combo.histogram_kind = HistogramTable::Kind::k1D;
+  const CombinedKnnSearcher combined_1d(db, kEps, combo);
+  combo.histogram_kind = HistogramTable::Kind::k2D;
+  combo.order = {PruneStep::kNearTriangle, PruneStep::kQgram,
+                 PruneStep::kHistogram};
+  const CombinedKnnSearcher combined_nph(db, kEps, combo);
+  combo.order = {PruneStep::kHistogram, PruneStep::kQgram,
+                 PruneStep::kNearTriangle};
   combo.sorted_histogram_scan = false;
   const CombinedKnnSearcher combined_seq(db, kEps, combo);
 
+  const auto range_of = [radius](const auto& searcher) {
+    return std::function<KnnResult(const Trajectory&)>(
+        [&searcher, radius](const Trajectory& q) {
+          return searcher.Range(q, radius);
+        });
+  };
+  const std::vector<
+      std::pair<std::string, std::function<KnnResult(const Trajectory&)>>>
+      searchers = {
+          {"PS2", range_of(qgram_ps2)},      {"PS1", range_of(qgram_ps1)},
+          {"PR", range_of(qgram_pr)},        {"PB", range_of(qgram_pb)},
+          {"2HE", range_of(hist2d)},         {"1HE", range_of(hist1d)},
+          {"NTR", range_of(ntr)},            {"2HPN", range_of(combined)},
+          {"1HPN", range_of(combined_1d)},   {"2NPH", range_of(combined_nph)},
+          {"2HPN-seq", range_of(combined_seq)},
+      };
+
   for (const Trajectory& query : testutil::MakeQueries(db, 204, 3)) {
     const KnnResult expected = SequentialScanRange(db, query, radius, kEps);
-    EXPECT_TRUE(SameRangeResult(expected, qgram_ps2.Range(query, radius)))
-        << "PS2 radius=" << radius;
-    EXPECT_TRUE(SameRangeResult(expected, qgram_pr.Range(query, radius)))
-        << "PR radius=" << radius;
-    EXPECT_TRUE(SameRangeResult(expected, hist2d.Range(query, radius)))
-        << "2HE radius=" << radius;
-    EXPECT_TRUE(SameRangeResult(expected, hist1d.Range(query, radius)))
-        << "1HE radius=" << radius;
-    EXPECT_TRUE(SameRangeResult(expected, ntr.Range(query, radius)))
-        << "NTR radius=" << radius;
-    EXPECT_TRUE(SameRangeResult(expected, combined.Range(query, radius)))
-        << "2HPN radius=" << radius;
-    EXPECT_TRUE(SameRangeResult(expected, combined_seq.Range(query, radius)))
-        << "2HPN-seq radius=" << radius;
+    for (const auto& [label, range] : searchers) {
+      const KnnResult actual = range(query);
+      EXPECT_TRUE(SameRangeResult(expected, actual))
+          << label << " radius=" << radius;
+      EXPECT_TRUE(actual.stats.stages.Conserves(db.size()))
+          << label << " radius=" << radius;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Radii, RangeLosslessTest,
-                         ::testing::Values(0, 2, 5, 12, 30, 100));
+                         ::testing::Values(0, 2, 5, 12, 30, 100, -1, 1000));
 
 TEST(RangeTest, PruningHappensForSmallRadii) {
   const TrajectoryDataset db = testutil::SmallDataset(205, 100, 8, 60);

@@ -194,17 +194,19 @@ TEST(SharedTopKTest, ConcurrentSlotsMatchSequentialHeap) {
   }
 }
 
-TEST(SortNeighborsAscendingTest, PartialSelectionMatchesFullSort) {
+// The range sink keeps every offer, whatever the offer order, and drains
+// it in the (distance, id) order every range query reports; its threshold
+// is the radius throughout.
+TEST(RadiusSinkTest, KeepsEveryOfferSortedByDistanceThenId) {
   Rng rng(7);
   std::vector<Neighbor> base(300);
   for (size_t i = 0; i < base.size(); ++i) {
     base[i] = {static_cast<uint32_t>(i),
                static_cast<double>(rng.UniformInt(0, 12))};
   }
-  std::vector<Neighbor> full = base;
-  SortNeighborsAscending(&full);
-  ASSERT_EQ(full.size(), base.size());
-  EXPECT_TRUE(std::is_sorted(full.begin(), full.end(),
+  std::vector<Neighbor> expected = base;
+  SortNeighborsAscending(&expected);
+  EXPECT_TRUE(std::is_sorted(expected.begin(), expected.end(),
                              [](const Neighbor& a, const Neighbor& b) {
                                if (a.distance != b.distance) {
                                  return a.distance < b.distance;
@@ -212,15 +214,17 @@ TEST(SortNeighborsAscendingTest, PartialSelectionMatchesFullSort) {
                                return a.id < b.id;
                              }));
 
-  for (const size_t m : {1u, 9u, 299u, 300u, 500u}) {
-    std::vector<Neighbor> partial = base;
-    SortNeighborsAscending(&partial, m);
-    const size_t want = std::min<size_t>(m, base.size());
-    ASSERT_EQ(partial.size(), want) << "m=" << m;
-    for (size_t i = 0; i < want; ++i) {
-      EXPECT_EQ(partial[i].id, full[i].id) << "m=" << m << " i=" << i;
-      EXPECT_EQ(partial[i].distance, full[i].distance);
-    }
+  RadiusSink sink(12);
+  EXPECT_EQ(sink.Threshold(), 12.0);
+  // Offer back to front so the drain order cannot come from the offers.
+  for (size_t i = base.size(); i-- > 0;) {
+    sink.Offer(base[i].id, base[i].distance, i);
+    EXPECT_EQ(sink.Threshold(), 12.0);
+  }
+  const std::vector<Neighbor> got = std::move(sink).TakeSortedNeighbors();
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "i=" << i;
   }
 }
 
