@@ -32,6 +32,9 @@ int main(int argc, char** argv) {
     // database order so the pruning power is identical across the six
     // permutations (the paper's observation) and only the time differs.
     options.sorted_histogram_scan = false;
+    // Pruning power is a property of the chain that evaluates every
+    // filter, so the cost gate stays off.
+    options.lazy_filters = edr::LazyFilters::kAlways;
     searchers.push_back(engine.MakeCombined(options));
   }
   edr::bench::RunSuite("NHL", engine, searchers, config);

@@ -39,6 +39,9 @@ void RunDataset(const char* name, TrajectoryDataset db,
                                            HistogramScan::kSorted));
   CombinedOptions combo;
   combo.max_triangle = refs;
+  // The paper's chain, every filter on every candidate: the figures report
+  // its pruning power.
+  combo.lazy_filters = LazyFilters::kAlways;
   combo.histogram_kind = HistogramTable::Kind::k2D;
   searchers.push_back(engine.MakeCombined(combo));  // 2HPN
   combo.histogram_kind = HistogramTable::Kind::k1D;

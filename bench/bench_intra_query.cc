@@ -1,7 +1,7 @@
 // Intra-query parallelism bench: per-query latency distribution (p50 /
-// p95 / max) of the filter-and-refine searchers at 1, 4, and 8 workers
-// sharding a single query over a dedicated thread pool, on a
-// 10k-trajectory random walk database.
+// p95 / max) of the filter-and-refine searchers at 1, 2 and all host cores
+// of workers sharding a single query over a dedicated thread pool sized to
+// the host, on a 10k-trajectory random walk database.
 //
 // Emits JSON (stdout, or the file named by argv[1]):
 //
@@ -9,8 +9,7 @@
 //
 // Every multi-worker run is certified bit-identical to the single-worker
 // run before its latency is reported. "host_cores" records the machine's
-// core count: worker counts beyond it measure scheduling overhead, not
-// speedup, so interpret the committed baseline relative to that field.
+// core count, which the largest worker count equals.
 
 #include <algorithm>
 #include <chrono>
@@ -78,7 +77,11 @@ std::vector<LatencyRow> MeasureMethod(
   for (const Trajectory& q : queries) reference.push_back(knn(q, {}));
 
   std::vector<LatencyRow> rows;
-  for (const unsigned workers : {1u, 4u, 8u}) {
+  const unsigned cores = ThreadPool::HardwareWorkers() + 1;
+  std::vector<unsigned> worker_counts = {1u};
+  if (cores > 2) worker_counts.push_back(2u);
+  if (cores > 1) worker_counts.push_back(cores);
+  for (const unsigned workers : worker_counts) {
     KnnOptions options;
     options.intra_query_workers = workers;
     options.pool = &pool;
@@ -138,7 +141,7 @@ int main(int argc, char** argv) {
     queries.push_back(db[(q * db.size()) / kQueries]);
   }
 
-  ThreadPool pool(8);
+  ThreadPool pool(ThreadPool::HardwareWorkers());
 
   const HistogramKnnSearcher hsr(db, kEps, HistogramTable::Kind::k2D, 1,
                                  HistogramScan::kSorted);

@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
     queries.push_back(db[(q * db.size()) / num_queries]);
   }
 
-  ThreadPool pool(8);
+  ThreadPool pool(ThreadPool::HardwareWorkers());
   QueryEngine engine(db, kEps);
   KnnOptions bound;
   bound.pool = &pool;

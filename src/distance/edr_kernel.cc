@@ -472,8 +472,12 @@ int MyersCore(size_t m, size_t n, int bound, EdrScratch& sc,
       hin = hout;
     }
     const int floor_now = score - static_cast<int>(n - 1 - j);
-    if (floor_now > bound) return floor_now;
+    if (floor_now > bound) {
+      sc.RecordRun(m, j + 1);
+      return floor_now;
+    }
   }
+  sc.RecordRun(m, n);
   return score;
 }
 
@@ -498,6 +502,7 @@ constexpr size_t OrientationCost(size_t pattern, size_t text) {
 template <typename TrajectoryT>
 int BitParallelEdr(const TrajectoryT& r, const TrajectoryT& s, double epsilon,
                    int bound, EdrScratch& sc) {
+  sc.RecordRun(0, 0);
   if (r.empty()) return static_cast<int>(s.size());
   if (s.empty()) return static_cast<int>(r.size());
   const int length_bound = static_cast<int>(
@@ -551,6 +556,7 @@ int ScalarEdr(const TrajectoryT& r, const TrajectoryT& s, double epsilon,
               EdrScratch& sc) {
   const size_t m = r.size();
   const size_t n = s.size();
+  sc.RecordRun(0, 0);
   if (m == 0) return static_cast<int>(n);
   if (n == 0) return static_cast<int>(m);
 
@@ -566,6 +572,7 @@ int ScalarEdr(const TrajectoryT& r, const TrajectoryT& s, double epsilon,
     }
     std::swap(prev, curr);
   }
+  sc.RecordRun(n, m);
   return prev[n];
 }
 
@@ -574,6 +581,7 @@ int ScalarEdrBounded(const TrajectoryT& r, const TrajectoryT& s,
                      double epsilon, int bound, EdrScratch& sc) {
   const size_t m = r.size();
   const size_t n = s.size();
+  sc.RecordRun(0, 0);
   if (m == 0) return static_cast<int>(n);
   if (n == 0) return static_cast<int>(m);
 
@@ -595,9 +603,13 @@ int ScalarEdrBounded(const TrajectoryT& r, const TrajectoryT& s,
     }
     // Every edit path crosses every row, so the row minimum lower-bounds
     // the final value; above the bound the scan can stop.
-    if (row_min > bound) return row_min;
+    if (row_min > bound) {
+      sc.RecordRun(n, i);
+      return row_min;
+    }
     std::swap(prev, curr);
   }
+  sc.RecordRun(n, m);
   return prev[n];
 }
 

@@ -81,11 +81,28 @@ class EdrScratch {
   int* prev_row() { return prev_.data(); }
   int* curr_row() { return curr_.data(); }
 
+  /// The DP the last distance call on this scratch ran: `last_rows()`
+  /// cells per column, `last_columns()` columns completed. The
+  /// bit-parallel kernel's columns are text points, fewer than the text
+  /// length when it abandoned; the scalar DP advances one row of its first
+  /// trajectory across all of the second per step, so there a column is
+  /// such a row. 0 columns when no DP ran (an empty input, or the length
+  /// bound alone settled the call). Cell counts and the combined
+  /// searcher's filter cost model read it.
+  size_t last_rows() const { return last_rows_; }
+  size_t last_columns() const { return last_columns_; }
+  void RecordRun(size_t rows, size_t columns) {
+    last_rows_ = rows;
+    last_columns_ = columns;
+  }
+
  private:
   std::vector<double> px_, py_, pz_;
   std::vector<uint64_t> vp_, vn_, eq_;
   std::vector<uint8_t> match_;
   std::vector<int> prev_, curr_;
+  size_t last_rows_ = 0;
+  size_t last_columns_ = 0;
 };
 
 /// The calling thread's scratch buffer. Parallel users (pool workers

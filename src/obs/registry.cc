@@ -181,7 +181,8 @@ void RegisterStandardMetrics() {
       "feature_cache.hits",   "feature_cache.misses",
       "feature_cache.evictions", "plan_cache.hits",
       "plan_cache.misses",    "plan_cache.evictions",
-      "plan_cache.collisions",
+      "plan_cache.collisions", "query.qgram_skipped",
+      "query.triangle_skipped",
   };
   for (const char* name : kCounters) registry.Counter(name);
   registry.Gauge("sched.group_shared_bin_fraction");

@@ -24,7 +24,10 @@ namespace edr {
 ///                 + dp_invoked
 ///   considered + not_visited == db_size
 ///
-/// which is the conservation law the observability tests check. Counters
+/// which is the conservation law the observability tests check. The two
+/// `*_skipped` counters are annotations, not buckets: they say why a
+/// candidate reached the DP (a cost gate skipped a test that might have
+/// pruned it) and take no part in the law. Counters
 /// are recorded only when kObsEnabled; in EDR_DISABLE_OBS builds the
 /// fields exist but stay zero.
 struct alignas(64) StageCounters {
@@ -43,14 +46,20 @@ struct alignas(64) StageCounters {
   /// DPs that early-abandoned past the k-th-distance bound (their result
   /// was a lower bound, not an exact distance).
   uint64_t dp_early_abandoned = 0;
-  /// Total DP table cells (|Q| x |S|) of the invoked verifications — the
-  /// work the filters failed to prune. Abandoned DPs may evaluate fewer
-  /// cells than their table size; this counts the table.
+  /// DP cells the invoked verifications ran — the work the filters failed
+  /// to prune. An abandoned DP is charged only the columns it completed
+  /// (EdrScratch::last_columns), not its whole |Q| x |S| table.
   uint64_t dp_cells = 0;
   /// Candidates never visited at all because a sorted scan hit its hard
   /// stop (every remaining lower bound exceeded the k-th distance).
   /// Derived as db_size - considered when a query finishes.
   uint64_t not_visited = 0;
+  /// Q-gram tests the combined searcher's cost gate skipped: the
+  /// candidate went on untested because, on this query, the test was
+  /// costing more than the DPs it saved (LazyFilters::kCostGated).
+  uint64_t qgram_skipped = 0;
+  /// Near-triangle tests the cost gate skipped, as qgram_skipped.
+  uint64_t triangle_skipped = 0;
 
   /// Increments one field iff observability is compiled in. Keeps the
   /// searchers' hot filter chains to one line per recording site, e.g.
@@ -63,15 +72,15 @@ struct alignas(64) StageCounters {
     }
   }
 
-  /// Records one invoked true-distance DP over a |Q| x |S| table.
-  void CountDp(size_t query_len, size_t subject_len) {
+  /// Records one invoked true-distance DP that ran `rows` x `columns`
+  /// cells.
+  void CountDp(size_t rows, size_t columns) {
     if constexpr (kObsEnabled) {
       ++dp_invoked;
-      dp_cells +=
-          static_cast<uint64_t>(query_len) * static_cast<uint64_t>(subject_len);
+      dp_cells += static_cast<uint64_t>(rows) * static_cast<uint64_t>(columns);
     } else {
-      (void)query_len;
-      (void)subject_len;
+      (void)rows;
+      (void)columns;
     }
   }
 
@@ -87,6 +96,8 @@ struct alignas(64) StageCounters {
       dp_early_abandoned += other.dp_early_abandoned;
       dp_cells += other.dp_cells;
       not_visited += other.not_visited;
+      qgram_skipped += other.qgram_skipped;
+      triangle_skipped += other.triangle_skipped;
     } else {
       (void)other;
     }
@@ -110,9 +121,13 @@ struct alignas(64) StageCounters {
   }
 
   /// True iff every visited candidate is accounted for by exactly one
-  /// bucket (trivially true when observability is compiled out and all
-  /// fields are zero).
+  /// bucket (trivially true when observability is compiled out: nothing
+  /// is recorded, not even not_visited, so there is nothing to balance).
   bool Conserves(size_t db_size) const {
+    if constexpr (!kObsEnabled) {
+      (void)db_size;
+      return true;
+    }
     return considered == qgram_pruned + histogram_pruned + triangle_pruned +
                              dp_invoked &&
            considered + not_visited == static_cast<uint64_t>(db_size);
@@ -122,8 +137,8 @@ struct alignas(64) StageCounters {
   std::string ToJson() const;
 };
 
-static_assert(sizeof(StageCounters) == 64,
-              "one cache line so per-worker slots never false-share");
+static_assert(sizeof(StageCounters) % 64 == 0,
+              "whole cache lines so per-worker slots never false-share");
 
 }  // namespace edr
 

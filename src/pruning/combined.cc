@@ -6,6 +6,7 @@
 
 #include "distance/edr_kernel.h"
 #include "obs/trace.h"
+#include "pruning/filter_gate.h"
 #include "pruning/qgram.h"
 #include "query/feature_cache.h"
 #include "query/intra_query.h"
@@ -163,6 +164,10 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
   std::vector<std::vector<std::pair<uint32_t, double>>> proc(slots);
   for (auto& p : proc) p.reserve(matrix_.num_refs());
   RefineLedger ledger(options);
+  // Per-slot gates on the lazy P and N tests (none under kAlways).
+  const bool gated = options_.lazy_filters == LazyFilters::kCostGated;
+  const FilterCostWeights& weights = FilterCostWeightsFor(ActiveKernelLevel());
+  std::vector<LazyChainGate> gates(gated ? slots : 0);
 
   const auto refine = [&](unsigned slot, uint32_t id, double best,
                           double* dist) {
@@ -170,6 +175,7 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
     StageCounters& st = ledger.stages(slot);
     st.Bump(&StageCounters::considered);
     std::vector<std::pair<uint32_t, double>>& proc_array = proc[slot];
+    LazyChainGate* gate = gated ? &gates[slot] : nullptr;
     for (const PruneStep step : options_.order) {
       switch (step) {
         case PruneStep::kHistogram: {
@@ -188,21 +194,41 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
           const long threshold = QgramCountThreshold(
               query.size(), s.size(), options_.q, best_k);
           if (threshold <= 0) break;
-          if (!qgram_means_.CountMatches2DAtLeast(query_means, epsilon_, id,
-                                                  threshold)) {
+          if (gate != nullptr && !gate->qgram.ShouldTest(gate->MeanDpCost())) {
+            st.Bump(&StageCounters::qgram_skipped);
+            break;
+          }
+          size_t visited = 0;
+          const bool pruned = !qgram_means_.CountMatches2DAtLeast(
+              query_means, epsilon_, id, threshold, &visited);
+          if (gate != nullptr) {
+            gate->qgram.Record(pruned, weights.QgramTest(visited));
+          }
+          if (pruned) {
             st.Bump(&StageCounters::qgram_pruned);
             return false;
           }
           break;
         }
         case PruneStep::kNearTriangle: {
+          if (std::isinf(best)) break;  // Cannot prune before k seeds.
+          if (gate != nullptr &&
+              !gate->triangle.ShouldTest(gate->MeanDpCost())) {
+            st.Bump(&StageCounters::triangle_skipped);
+            break;
+          }
           double max_prune_dist = 0.0;
           for (const auto& [ref_id, ref_dist] : proc_array) {
             const double bound = ref_dist - matrix_.at(ref_id, id) -
                                  static_cast<double>(s.size());
             max_prune_dist = std::max(max_prune_dist, bound);
           }
-          if (max_prune_dist > best) {
+          const bool pruned = max_prune_dist > best;
+          if (gate != nullptr) {
+            gate->triangle.Record(pruned,
+                                  weights.TriangleTest(proc_array.size()));
+          }
+          if (pruned) {
             st.Bump(&StageCounters::triangle_pruned);
             return false;
           }
@@ -212,11 +238,18 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
     }
 
     // Bounded refinement; lower-bound reference distances only weaken the
-    // near-triangle prune bound, never unsound it.
+    // near-triangle prune bound, never unsound it. A DP against a finite
+    // threshold is what a lazy prune would have saved, so the gates price
+    // it from the cells the kernel actually ran.
     const int bound = EdrBoundFromKthDistance(best);
-    const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
-                                         query, s, epsilon_, bound);
-    ledger.CountDp(slot, query.size(), s.size());
+    EdrScratch& scratch = ThreadLocalEdrScratch();
+    const int d =
+        EdrDistanceBoundedWith(kernel, scratch, query, s, epsilon_, bound);
+    ledger.CountDp(slot, scratch);
+    if (gate != nullptr && !std::isinf(best)) {
+      gate->RecordDp(
+          weights.Dp(kernel, scratch.last_rows(), scratch.last_columns()));
+    }
     if (id < matrix_.num_refs() && proc_array.size() < matrix_.num_refs()) {
       proc_array.emplace_back(id, static_cast<double>(d));
     }

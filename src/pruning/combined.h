@@ -24,6 +24,19 @@ enum class PruneStep {
   kNearTriangle,  ///< near triangle inequality ("N")
 };
 
+/// How the lazy filters of the chain (Q-gram and near-triangle, which run
+/// per candidate inside refinement) are applied. Answers are the same
+/// either way; only the work differs.
+enum class LazyFilters {
+  /// Each worker slot of each query runs a LazyStepGate per lazy filter
+  /// and skips the test while it costs more than the DPs it saves
+  /// (docs/ALGORITHMS.md section 5). The default.
+  kCostGated,
+  /// Every filter on every candidate it can act on: the paper's chain,
+  /// whose pruning power Figures 11-13 report.
+  kAlways,
+};
+
 /// Configuration of a combined searcher.
 struct CombinedOptions {
   /// Application order; the paper's best (Figure 11) is H, then P, then N:
@@ -48,6 +61,8 @@ struct CombinedOptions {
   /// makes the pruning power identical across all six filter orders (the
   /// Figure 11 setting).
   bool sorted_histogram_scan = true;
+  /// Cost-gated lazy filters, or the paper's always-on chain.
+  LazyFilters lazy_filters = LazyFilters::kCostGated;
 };
 
 /// k-NN searcher combining histogram, Q-gram, and near-triangle pruning

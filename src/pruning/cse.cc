@@ -69,11 +69,12 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
     // Bounded refinement; a lower-bound reference distance in proc_array
     // only weakens (never unsounds) the shifted triangle prune.
     const int bound = EdrBoundFromKthDistance(threshold);
+    EdrScratch& scratch = ThreadLocalEdrScratch();
     const int d = ledger.TimeDp(slot, [&] {
-      return EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(), query,
-                                    db_[id], epsilon_, bound);
+      return EdrDistanceBoundedWith(kernel, scratch, query, db_[id],
+                                    epsilon_, bound);
     });
-    ledger.CountDp(slot, query.size(), db_[id].size());
+    ledger.CountDp(slot, scratch);
     if (id < matrix_.num_refs() &&
         proc_array.size() < matrix_.num_refs()) {
       proc_array.emplace_back(id, static_cast<double>(d));

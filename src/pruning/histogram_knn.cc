@@ -120,9 +120,10 @@ KnnResult HistogramKnnSearcher::RefineWithBounds(
       return false;
     }
     const int bound = EdrBoundFromKthDistance(threshold);
-    const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
-                                         query, db_[id], epsilon_, bound);
-    ledger.CountDp(slot, query.size(), db_[id].size());
+    EdrScratch& scratch = ThreadLocalEdrScratch();
+    const int d = EdrDistanceBoundedWith(kernel, scratch, query, db_[id],
+                                         epsilon_, bound);
+    ledger.CountDp(slot, scratch);
     if (d > bound) {  // Abandoned: a lower bound, not exact.
       st.Bump(&StageCounters::dp_early_abandoned);
       return false;

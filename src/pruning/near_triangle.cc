@@ -144,11 +144,12 @@ KnnResult NearTriangleSearcher::Search(const Trajectory& query,
     }
 
     const int bound = EdrBoundFromKthDistance(threshold);
+    EdrScratch& scratch = ThreadLocalEdrScratch();
     const int d = ledger.TimeDp(slot, [&] {
-      return EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(), query,
-                                    s, epsilon_, bound);
+      return EdrDistanceBoundedWith(kernel, scratch, query, s, epsilon_,
+                                    bound);
     });
-    ledger.CountDp(slot, query.size(), s.size());
+    ledger.CountDp(slot, scratch);
     if (id < matrix_.num_refs() &&
         proc_array.size() < matrix_.num_refs()) {
       proc_array.emplace_back(id, static_cast<double>(d));

@@ -40,7 +40,7 @@ KnnResult SequentialScanKnn3(const std::vector<Trajectory3>& db,
     result.Offer(i, static_cast<double>(EdrDistanceWith(
                         kernel, scratch, query, db[i], epsilon)));
     stages.Bump(&StageCounters::considered);
-    stages.CountDp(query.size(), db[i].size());
+    stages.CountDp(scratch.last_rows(), scratch.last_columns());
   }
   const auto stop = std::chrono::steady_clock::now();
   KnnResult out;
@@ -93,10 +93,15 @@ Knn3Searcher::Knn3Searcher(const std::vector<Trajectory3>& db,
 }
 
 int64_t Knn3Searcher::CellKey(const Point3& p) const {
+  // Clamped in the double domain before the cast: a far-out coordinate
+  // (say 1e300) has a cell index no int64_t holds, and casting it, or a
+  // NaN, is undefined. NaN fails `q >= 1` and lands on cell 1.
   const auto quantize = [this](double v, double origin) {
-    const int64_t q =
-        static_cast<int64_t>(std::floor((v - origin) / epsilon_)) + kBias;
-    return std::clamp<int64_t>(q, 1, kCoordMax);
+    const double q =
+        std::floor((v - origin) / epsilon_) + static_cast<double>(kBias);
+    return q >= 1.0 ? static_cast<int64_t>(
+                          std::min(q, static_cast<double>(kCoordMax)))
+                    : int64_t{1};
   };
   return PackCell(quantize(p.x, grid_min_.x), quantize(p.y, grid_min_.y),
                   quantize(p.z, grid_min_.z));
@@ -215,7 +220,7 @@ KnnResult Knn3Searcher::Knn(const Trajectory3& query, size_t k) const {
     const double dist = static_cast<double>(EdrDistanceBoundedWith(
         kernel, scratch, query, db_[id], epsilon_, dp_bound));
     ++computed;
-    stages.CountDp(query.size(), db_[id].size());
+    stages.CountDp(scratch.last_rows(), scratch.last_columns());
     if (dist > static_cast<double>(dp_bound)) {
       stages.Bump(&StageCounters::dp_early_abandoned);
     }

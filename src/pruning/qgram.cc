@@ -319,7 +319,8 @@ size_t QgramMeansTable::CountMatches2D(const std::vector<Point2>& query_means,
 
 bool QgramMeansTable::CountMatches2DAtLeast(
     const std::vector<Point2>& query_means, double epsilon, uint32_t id,
-    long threshold) const {
+    long threshold, size_t* visited) const {
+  if (visited != nullptr) *visited = 0;
   if (threshold <= 0) return true;
   const size_t end = offsets_[id + 1];
   const WindowHasMatchFn window_has_match =
@@ -331,19 +332,26 @@ bool QgramMeansTable::CountMatches2DAtLeast(
   size_t reachable = query_means.size();
   if (reachable < need) return false;
   size_t window_start = offsets_[id];
+  size_t seen = 0;
+  bool at_least = false;
   for (const Point2& qm : query_means) {
+    ++seen;
     window_start =
         GallopLowerBound(xs_.data(), window_start, end, qm.x - epsilon);
     // The window only advances: past the last data mean nothing matches.
-    if (window_start == end) return false;
+    if (window_start == end) break;
     if (window_has_match(xs_.data(), ys_.data(), window_start, end,
                          qm.x + epsilon, qm.y, epsilon)) {
-      if (++count >= need) return true;
+      if (++count >= need) {
+        at_least = true;
+        break;
+      }
     } else if (--reachable < need) {
-      return false;
+      break;
     }
   }
-  return false;
+  if (visited != nullptr) *visited = seen;
+  return at_least;
 }
 
 size_t QgramMeansTable::CountMatches1D(const std::vector<double>& query_means,

@@ -92,9 +92,12 @@ class QgramMeansTable {
   /// far plus every query mean still unvisited cannot reach it. Each
   /// query mean adds at most one to the count, so neither exit can
   /// change the verdict. The Q-gram prune test of the combined searcher.
+  /// `visited`, when given, receives how many query means the merge
+  /// looked at before deciding (the test's cost in the combined
+  /// searcher's filter cost model).
   bool CountMatches2DAtLeast(const std::vector<Point2>& query_means,
-                             double epsilon, uint32_t id,
-                             long threshold) const;
+                             double epsilon, uint32_t id, long threshold,
+                             size_t* visited = nullptr) const;
 
   /// CountMatchingMeans1D analogue; `query_means` sorted ascending.
   size_t CountMatches1D(const std::vector<double>& query_means,

@@ -380,9 +380,10 @@ KnnResult QgramKnnSearcher::RefineWithCounts(
     // the candidate could enter the result, otherwise some lower bound
     // > threshold that the result rejects just the same.
     const int bound = EdrBoundFromKthDistance(threshold);
-    const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
-                                         query, s, epsilon_, bound);
-    ledger.CountDp(slot, query.size(), s.size());
+    EdrScratch& scratch = ThreadLocalEdrScratch();
+    const int d =
+        EdrDistanceBoundedWith(kernel, scratch, query, s, epsilon_, bound);
+    ledger.CountDp(slot, scratch);
     if (d > bound) {
       st.Bump(&StageCounters::dp_early_abandoned);
       return false;
@@ -428,9 +429,15 @@ uint64_t QgramKnnSearcher::FusionFingerprint(const Trajectory& query) const {
     return 1ull << (v >> 58);
   };
   const double cell = epsilon_ > 0.0 ? epsilon_ : 1.0;
+  // The cell index is clamped in the double domain before the cast: a
+  // finite coordinate far out (say 1e300) has an index no int64_t holds,
+  // and casting it, or a NaN, is undefined. NaN fails `c >= -kLimit` and
+  // lands on -kLimit.
   const auto quantize = [cell](double v) -> uint64_t {
+    constexpr double kLimit = 0x1p62;
+    const double c = std::floor(v / cell);
     return static_cast<uint64_t>(
-        static_cast<int64_t>(std::floor(v / cell)));
+        static_cast<int64_t>(c >= -kLimit ? std::min(c, kLimit) : -kLimit));
   };
   uint64_t sig = 0;
   if (variant_ == QgramVariant::kRtree2D ||

@@ -119,6 +119,7 @@ const CombinedKnnSearcher& QueryEngine::Combined(
   key += options.sorted_histogram_scan ? "/sorted" : "/seq";
   key += "/";
   key += HistogramLayoutName(options.histogram_layout);
+  key += options.lazy_filters == LazyFilters::kAlways ? "/always" : "/gated";
   auto it = combined_.find(key);
   if (it == combined_.end()) {
     it = combined_

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "distance/edr_kernel.h"
 #include "obs/stage_counters.h"
 #include "obs/trace.h"
 #include "query/knn.h"
@@ -262,10 +263,16 @@ class RefineLedger {
 
   StageCounters& stages(unsigned slot) { return slots_[slot].stages; }
 
-  /// Records one true-distance DP over a |Q| x |S| table.
-  void CountDp(unsigned slot, size_t query_len, size_t subject_len) {
+  /// Records one true-distance DP that ran `rows` x `columns` cells.
+  void CountDp(unsigned slot, size_t rows, size_t columns) {
     ++slots_[slot].computed;
-    slots_[slot].stages.CountDp(query_len, subject_len);
+    slots_[slot].stages.CountDp(rows, columns);
+  }
+
+  /// Records the EDR DP the last call on `scratch` ran, charged with the
+  /// cells the kernel actually ran (an abandoned DP stops early).
+  void CountDp(unsigned slot, const EdrScratch& scratch) {
+    CountDp(slot, scratch.last_rows(), scratch.last_columns());
   }
 
   /// Returns `dp()`, adding its wall time to the slot when observability

@@ -33,6 +33,10 @@ void RecordQueryMetrics(const SearchStats& stats) {
         MetricsRegistry::Global().Counter("query.dp_total");
     static ObsCounter& dp_cells =
         MetricsRegistry::Global().Counter("query.dp_cells");
+    static ObsCounter& qgram_skipped =
+        MetricsRegistry::Global().Counter("query.qgram_skipped");
+    static ObsCounter& triangle_skipped =
+        MetricsRegistry::Global().Counter("query.triangle_skipped");
     static ObsCounter& pruned =
         MetricsRegistry::Global().Counter("query.candidates_pruned");
     static ObsCounter& scanned =
@@ -42,6 +46,8 @@ void RecordQueryMetrics(const SearchStats& stats) {
     queries.Inc();
     dp_total.Inc(stats.edr_computed);
     dp_cells.Inc(stats.stages.dp_cells);
+    qgram_skipped.Inc(stats.stages.qgram_skipped);
+    triangle_skipped.Inc(stats.stages.triangle_skipped);
     scanned.Inc(stats.db_size);
     pruned.Inc(stats.db_size >= stats.edr_computed
                    ? stats.db_size - stats.edr_computed
@@ -82,7 +88,7 @@ KnnResult SequentialScanKnn(const TrajectoryDataset& db,
       ++stages.dp_invoked;
       if (abandoned) ++stages.dp_early_abandoned;
       stages.dp_cells +=
-          static_cast<uint64_t>(query.size()) * s.size();
+          static_cast<uint64_t>(scratch.last_rows()) * scratch.last_columns();
     }
     result.Offer(s.id(), dist);
   }
@@ -118,7 +124,7 @@ KnnResult SequentialScanRange(const TrajectoryDataset& db,
       ++stages.considered;
       ++stages.dp_invoked;
       stages.dp_cells +=
-          static_cast<uint64_t>(query.size()) * s.size();
+          static_cast<uint64_t>(scratch.last_rows()) * scratch.last_columns();
     }
     if (dist <= radius) {
       out.neighbors.push_back({s.id(), static_cast<double>(dist)});

@@ -80,6 +80,8 @@ TEST(CombinedTest, CombinationPrunesAtLeastAsMuchAsEachComponentAlone) {
   const TrajectoryDataset db = testutil::SmallDataset(56, 120, 6, 80);
   CombinedOptions options;
   options.max_triangle = 30;
+  // A property of the chain that evaluates every filter.
+  options.lazy_filters = LazyFilters::kAlways;
   const CombinedKnnSearcher combined(db, kEps, options);
   const HistogramKnnSearcher histogram(db, kEps, HistogramTable::Kind::k2D,
                                        1, HistogramScan::kSorted);

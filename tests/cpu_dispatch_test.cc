@@ -365,5 +365,62 @@ TEST(CpuDispatchTest, BoundedEdrContractAtEveryLevel) {
   }
 }
 
+// Every EDR call records the DP it ran (EdrScratch::last_rows /
+// last_columns), which StageCounters::dp_cells and the combined searcher's
+// filter cost gate read. At every level, and in the scalar kernel, an
+// exact call runs the whole |r| x |s| table and an abandoned one at most
+// its n columns, stopping early on some pairs. The bit-parallel floor
+// rises by at most 2 per column and ends at the exact value, so a bound 3
+// or more below it always stops before the last column.
+TEST(CpuDispatchTest, EdrReportsTheColumnsItRan) {
+  LevelGuard guard;
+  const size_t lengths[] = {1, 7, 8, 9, 63, 64, 65, 128, 129};
+  Rng rng(611);
+  std::vector<Trajectory> walks;
+  for (const size_t len : lengths) {
+    walks.push_back(testutil::RandomWalk(rng, len, 0.1));
+  }
+  EdrScratch scratch;
+  const auto check = [&](EdrKernel kernel, size_t* stopped_early) {
+    for (const Trajectory& r : walks) {
+      for (const Trajectory& s : walks) {
+        const size_t table = r.size() * s.size();
+        const int exact = EdrDistanceWith(kernel, scratch, r, s, kEps);
+        ASSERT_TRUE(scratch.last_rows() == r.size() ||
+                    scratch.last_rows() == s.size());
+        const size_t n = table / scratch.last_rows();
+        EXPECT_EQ(scratch.last_columns(), n);
+        for (const int bound : {0, exact / 2, exact - 3, exact - 1, exact}) {
+          if (bound < 0) continue;
+          const int got =
+              EdrDistanceBoundedWith(kernel, scratch, r, s, kEps, bound);
+          if (got <= bound) {
+            EXPECT_EQ(scratch.last_rows() * scratch.last_columns(), table);
+            continue;
+          }
+          EXPECT_LE(scratch.last_columns(), n);
+          if (kernel == EdrKernel::kBitParallel && bound <= exact - 3) {
+            EXPECT_LT(scratch.last_columns(), n);
+          }
+          if (scratch.last_rows() * scratch.last_columns() < table) {
+            ++*stopped_early;
+          }
+        }
+      }
+    }
+  };
+  for (const KernelLevel level : kAllLevels) {
+    if (!KernelLevelSupported(level)) continue;
+    ASSERT_TRUE(SetActiveKernelLevel(level));
+    SCOPED_TRACE(KernelLevelName(level));
+    size_t stopped_early = 0;
+    check(EdrKernel::kBitParallel, &stopped_early);
+    EXPECT_GT(stopped_early, 0u);
+  }
+  size_t stopped_early = 0;
+  check(EdrKernel::kScalar, &stopped_early);
+  EXPECT_GT(stopped_early, 0u);
+}
+
 }  // namespace
 }  // namespace edr

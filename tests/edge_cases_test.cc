@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/simplify.h"
+#include "pruning/pruning3.h"
 #include "query/engine.h"
 #include "query/subtrajectory.h"
 #include "test_util.h"
@@ -91,6 +92,43 @@ TEST(EdgeCaseTest, FarOutOfRangeQueryCoordinatesStayLossless) {
           << "query " << i << " radius " << radius;
     }
   }
+}
+
+// The Q-gram fusion fingerprint and the 3-D searcher's histogram cells
+// quantize coordinates by epsilon into integers. A 1e300 coordinate's cell
+// index fits no int64_t, so both clamp in the double domain before the
+// cast (casting first is undefined, and trips UBSan's float-cast-overflow
+// check). The fingerprints stay deterministic and the 3-D searcher, whose
+// grid origin also comes from a far-out database point here, returns the
+// sequential-scan answer.
+TEST(EdgeCaseTest, FarOutCoordinatesQuantizeWithoutOverflow) {
+  const TrajectoryDataset db = testutil::SmallDataset(7011, 30, 5, 25);
+  Trajectory far = db[2];
+  far.Append(1e300, -1e300);
+  far.Append(-1e300, 0.5);
+  for (const QgramVariant variant :
+       {QgramVariant::kMerge2D, QgramVariant::kMerge1D}) {
+    const QgramKnnSearcher searcher(db, kEps, 1, variant);
+    EXPECT_EQ(searcher.FusionFingerprint(far),
+              searcher.FusionFingerprint(far));
+    EXPECT_NE(searcher.FusionFingerprint(far), 0u);
+  }
+
+  std::vector<Trajectory3> db3;
+  for (size_t i = 0; i < 12; ++i) {
+    std::vector<Point3> points;
+    for (size_t j = 0; j < 6 + i % 4; ++j) {
+      const double v = 0.1 * static_cast<double>(i + j);
+      points.push_back({v, 0.5 * v, 1.0 - v});
+    }
+    db3.emplace_back(std::move(points));
+  }
+  db3[5] = Trajectory3({{-1e300, 0.0, 0.0}, {0.2, 0.1, 0.8}});
+  const Knn3Searcher searcher3(db3, kEps);
+  const Trajectory3 query(
+      {{0.3, 0.15, 0.7}, {1e300, 1e300, -1e300}, {0.5, 0.25, 0.5}});
+  EXPECT_TRUE(SameKnnDistances(SequentialScanKnn3(db3, query, 4, kEps),
+                               searcher3.Knn(query, 4)));
 }
 
 TEST(EdgeCaseTest, SingleElementTrajectories) {
